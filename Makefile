@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test coverage lint lint-examples absint-check validate-compiled profile bench bench-kernel bench-only reports examples explain-examples explore-examples sim-source-examples verify-all verify-examples clean
+.PHONY: install test coverage lint lint-examples absint-check validate-compiled import-check profile bench bench-kernel bench-only reports examples explain-examples explore-examples sim-source-examples verify-all verify-examples clean
 
 #: Line-coverage floor (percent) for the simulator and protocol
 #: generator packages, enforced by `make coverage` and CI.
@@ -41,6 +41,12 @@ absint-check:     ## soundness gate: static bounds vs simulated counts
 validate-compiled: ## translation-validation gate: proofs, backend
                    ## agreement, and the seeded codegen-defect corpus
 	PYTHONPATH=src $(PYTHON) tools/validate_compiled.py
+
+import-check:     ## import hygiene test + `import repro.cli` import
+                  ## times (microseconds), largest cumulative first
+	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_imports.py
+	PYTHONPATH=src $(PYTHON) -X importtime -c "import repro.cli" 2>&1 \
+		>/dev/null | sort -t'|' -k2 -n -r | head -n 25
 
 profile:          ## instrumented synth+sim sweep with stage breakdown
 	PYTHONPATH=src $(PYTHON) -m repro.cli profile

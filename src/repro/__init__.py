@@ -36,135 +36,52 @@ See README.md for the full walk-through and DESIGN.md for the paper
 mapping.
 """
 
-from repro.busgen import (
-    BusConstraint,
-    LaneAllocation,
-    allocate_lanes,
-    BusDesign,
-    ConstraintKind,
-    ConstraintSet,
-    SplitResult,
-    WidthEvaluation,
-    buswidth_range,
-    generate_bus,
-    max_avg_rate,
-    max_buswidth,
-    max_peak_rate,
-    min_avg_rate,
-    min_buswidth,
-    min_peak_rate,
-    split_group,
-)
-from repro.channels import (
-    Channel,
-    ChannelGroup,
-    ChannelRates,
-    GroupRateModel,
-    average_rate,
-    peak_rate,
-)
-from repro.errors import (
-    BusGenError,
-    ChannelError,
-    ConstraintError,
-    DeadlockError,
-    EstimationError,
-    HdlError,
-    IdAssignmentError,
-    InfeasibleBusError,
-    PartitionError,
-    ProtocolError,
-    RefinementError,
-    ReproError,
-    SimulationError,
-    SpecError,
-)
-from repro.frontend import (
-    ParsedSpec,
-    parse_spec,
-    parse_spec_file,
-    print_spec,
-)
-from repro.estimate import (
-    BusAreaEstimate,
-    PerformanceEstimator,
-    estimate_bus_area,
-    estimate_spec_area,
-    ProcessEstimate,
-    interconnect_reduction,
-    sweep_widths,
-    transfer_clocks,
-)
-from repro.hdl import (
-    emit_bus_declaration,
-    emit_procedure,
-    emit_refined_spec,
-    validate_vhdl,
-)
-from repro.partition import (
-    ClosenessModel,
-    ImprovementReport,
-    improve_partition,
-    ModuleKind,
-    Partition,
-    SystemModule,
-    cluster_partition,
-    default_bus_groups,
-    extract_channels,
-)
-from repro.protocols import (
-    BURST_HANDSHAKE,
-    FIXED_DELAY,
-    FULL_HANDSHAKE,
-    HALF_HANDSHAKE,
-    HARDWIRED,
-    PROTOCOLS,
-    Protocol,
-    get_protocol,
-)
-from repro.protogen import (
-    BusStructure,
-    IdAssignment,
-    RefinedBus,
-    RefinedSpec,
-    assign_ids,
-    generate_protocol,
-    refine_system,
-)
-from repro.sim import (
-    ImmediateArbiter,
-    PriorityArbiter,
-    RoundRobinArbiter,
-    SimResult,
-    TdmaArbiter,
-    simulate,
-)
-from repro.verify import (
-    VerificationReport,
-    verify_refinement,
-)
-from repro.spec import (
-    ArrayType,
-    Assign,
-    Behavior,
-    BitType,
-    Call,
-    Const,
-    Direction,
-    For,
-    If,
-    Index,
-    IntType,
-    Ref,
-    SystemSpec,
-    UnOp,
-    Variable,
-    WaitClocks,
-    While,
-    run_reference,
-    vmax,
-    vmin,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.busgen": (
+        "BusConstraint", "LaneAllocation", "allocate_lanes", "BusDesign",
+        "ConstraintKind", "ConstraintSet", "SplitResult", "WidthEvaluation",
+        "buswidth_range", "generate_bus", "max_avg_rate", "max_buswidth",
+        "max_peak_rate", "min_avg_rate", "min_buswidth", "min_peak_rate",
+        "split_group"),
+    "repro.channels": (
+        "Channel", "ChannelGroup", "ChannelRates", "GroupRateModel",
+        "average_rate", "peak_rate"),
+    "repro.errors": (
+        "BusGenError", "ChannelError", "ConstraintError", "DeadlockError",
+        "EstimationError", "HdlError", "IdAssignmentError",
+        "InfeasibleBusError", "PartitionError", "ProtocolError",
+        "RefinementError", "ReproError", "SimulationError", "SpecError"),
+    "repro.frontend": (
+        "ParsedSpec", "parse_spec", "parse_spec_file", "print_spec"),
+    "repro.estimate": (
+        "BusAreaEstimate", "PerformanceEstimator", "estimate_bus_area",
+        "estimate_spec_area", "ProcessEstimate", "interconnect_reduction",
+        "sweep_widths", "transfer_clocks"),
+    "repro.hdl": (
+        "emit_bus_declaration", "emit_procedure", "emit_refined_spec",
+        "validate_vhdl"),
+    "repro.partition": (
+        "ClosenessModel", "ImprovementReport", "improve_partition",
+        "ModuleKind", "Partition", "SystemModule", "cluster_partition",
+        "default_bus_groups", "extract_channels"),
+    "repro.protocols": (
+        "BURST_HANDSHAKE", "FIXED_DELAY", "FULL_HANDSHAKE", "HALF_HANDSHAKE",
+        "HARDWIRED", "PROTOCOLS", "Protocol", "get_protocol"),
+    "repro.protogen": (
+        "BusStructure", "IdAssignment", "RefinedBus", "RefinedSpec",
+        "assign_ids", "generate_protocol", "refine_system"),
+    "repro.sim": (
+        "ImmediateArbiter", "PriorityArbiter", "RoundRobinArbiter",
+        "SimResult", "TdmaArbiter", "simulate"),
+    "repro.verify": ("VerificationReport", "verify_refinement"),
+    "repro.spec": (
+        "ArrayType", "Assign", "Behavior", "BitType", "Call", "Const",
+        "Direction", "For", "If", "Index", "IntType", "Ref", "SystemSpec",
+        "UnOp", "Variable", "WaitClocks", "While", "run_reference", "vmax",
+        "vmin"),
+})
 
 __version__ = "1.0.0"
 

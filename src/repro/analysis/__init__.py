@@ -11,29 +11,22 @@ Distinct from :mod:`repro.sim.analysis`, which post-processes
 *simulation traces*; this package never runs the design.
 """
 
-from repro.analysis.contention import check_contention
-from repro.analysis.deadcode import check_dead_code
-from repro.analysis.deadlock import (
-    FsmTransform,
-    check_fsm_pair,
-    check_handshakes,
-)
-from repro.analysis.diagnostics import (
-    Diagnostic,
-    DiagnosticSet,
-    Severity,
-    SourceLocation,
-)
-from repro.analysis.mc import (
-    PropertyVerdict,
-    VerificationReport,
-    Witness,
-    check_temporal,
-    verify_refined,
-)
-from repro.analysis.product import ProductResult, explore_product
-from repro.analysis.runner import PASSES, analyze_refined
-from repro.analysis.width import check_widths
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.contention": ("check_contention",),
+    "repro.analysis.deadcode": ("check_dead_code",),
+    "repro.analysis.deadlock": (
+        "FsmTransform", "check_fsm_pair", "check_handshakes"),
+    "repro.analysis.diagnostics": (
+        "Diagnostic", "DiagnosticSet", "Severity", "SourceLocation"),
+    "repro.analysis.mc": (
+        "PropertyVerdict", "VerificationReport", "Witness", "check_temporal",
+        "verify_refined"),
+    "repro.analysis.product": ("ProductResult", "explore_product"),
+    "repro.analysis.runner": ("PASSES", "analyze_refined"),
+    "repro.analysis.width": ("check_widths",),
+})
 
 __all__ = [
     "Diagnostic",

@@ -8,23 +8,18 @@ access-count / bit-volume / rate bounds
 (:mod:`~repro.analysis.absint.passes`).
 """
 
-from repro.analysis.absint.domain import AbsVal, Congruence, Interval
-from repro.analysis.absint.engine import (
-    Finding,
-    TripBounds,
-    ValueAnalysis,
-    analyze_behavior,
-    analyze_behaviors,
-    analyze_refined_values,
-)
-from repro.analysis.absint.passes import check_value_flow
-from repro.analysis.absint.rates import (
-    ChannelStaticBounds,
-    StaticRateModel,
-    refined_channel_bounds,
-    static_channel_bounds,
-    static_group_bounds,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.absint.domain": ("AbsVal", "Congruence", "Interval"),
+    "repro.analysis.absint.engine": (
+        "Finding", "TripBounds", "ValueAnalysis", "analyze_behavior",
+        "analyze_behaviors", "analyze_refined_values"),
+    "repro.analysis.absint.passes": ("check_value_flow",),
+    "repro.analysis.absint.rates": (
+        "ChannelStaticBounds", "StaticRateModel", "refined_channel_bounds",
+        "static_channel_bounds", "static_group_bounds"),
+})
 
 __all__ = [
     "AbsVal",

@@ -17,15 +17,16 @@ The package layers on top of the product-automaton engine of
   ``repro-synth verify`` engine.
 """
 
-from repro.analysis.mc.checker import (
-    PROPERTY_IDS,
-    PropertyVerdict,
-    VerificationReport,
-    check_channel,
-)
-from repro.analysis.mc.graph import TemporalGraph, build_temporal_graph
-from repro.analysis.mc.passes import check_temporal, verify_refined
-from repro.analysis.mc.witness import Witness, WitnessStep
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.mc.checker": (
+        "PROPERTY_IDS", "PropertyVerdict", "VerificationReport",
+        "check_channel"),
+    "repro.analysis.mc.graph": ("TemporalGraph", "build_temporal_graph"),
+    "repro.analysis.mc.passes": ("check_temporal", "verify_refined"),
+    "repro.analysis.mc.witness": ("Witness", "WitnessStep"),
+})
 
 __all__ = [
     "PROPERTY_IDS",

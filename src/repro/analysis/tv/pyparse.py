@@ -10,9 +10,13 @@ The generated code is ordinary Python; this module gives the checker a
   order, the hint is the contract -- and compiler temporaries
   (``_t3``, ``_v7``, ``_i8``, ``_f1``, ``_r2``, ``_adr4``, ``_dat5``
   and the validator's own ``_w<n>``) are renamed to ``_x0, _x1, ...``
-  in first-occurrence order.  Two expressions are judged equal iff
-  their normalized ``ast.dump`` strings match, which makes temp names
-  irrelevant while keeping their order and multiplicity significant;
+  in first-occurrence order (breadth-first, as :func:`ast.walk`
+  visits).  Two expressions are judged equal iff their normalized
+  ``ast.dump`` strings match, which makes temp names irrelevant while
+  keeping their order and multiplicity significant.  Normalizing
+  renames the fragment's ``Name`` nodes in place for the length of
+  one dump and restores them afterwards, so the caller's AST is left
+  as it was and nothing is copied;
 * **pattern accessors** for the clock-batching skeleton: ``t += n``
   increments, ``t = 0`` resets, ``yield W(t)`` waits and the
   three-line flush block, so the checker can consume them without
@@ -26,9 +30,8 @@ Nothing here judges correctness -- that is
 from __future__ import annotations
 
 import ast
-import copy
 import re
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 #: Namespace binding: ``_b12_env_read`` -> hint ``env_read``.
 _BIND_RE = re.compile(r"^_b\d+_(.+)$")
@@ -64,12 +67,19 @@ def is_temp(name: str) -> bool:
 
 
 def normalize(node: ast.AST, renamer: Renamer) -> str:
-    """Canonical dump of an AST fragment under ``renamer``."""
-    tree = copy.deepcopy(node)
-    for sub in ast.walk(tree):
-        if isinstance(sub, ast.Name):
-            sub.id = renamer.rename(sub.id)
-    return ast.dump(tree, annotate_fields=False)
+    """Canonical dump of an AST fragment under ``renamer``.
+
+    ``node`` is renamed in place while it is dumped and restored
+    before returning (or raising), so it is observably unchanged."""
+    names = [sub for sub in ast.walk(node) if isinstance(sub, ast.Name)]
+    originals = [name.id for name in names]
+    try:
+        for name in names:
+            name.id = renamer.rename(name.id)
+        return ast.dump(node, annotate_fields=False)
+    finally:
+        for name, ident in zip(names, originals):
+            name.id = ident
 
 
 def parse_expr(code: str) -> ast.expr:

@@ -2,13 +2,15 @@
 logic controller, the answering machine and the Ethernet network
 coprocessor.  See DESIGN.md section 3."""
 
-from repro.apps.answering_machine import (
-    AnsweringMachineModel,
-    build_answering_machine,
-)
-from repro.apps.convolution import ConvolutionModel, build_convolution
-from repro.apps.ethernet import EthernetModel, build_ethernet
-from repro.apps.flc import FlcModel, build_flc, reference_ctrl_output
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.apps.answering_machine": (
+        "AnsweringMachineModel", "build_answering_machine"),
+    "repro.apps.convolution": ("ConvolutionModel", "build_convolution"),
+    "repro.apps.ethernet": ("EthernetModel", "build_ethernet"),
+    "repro.apps.flc": ("FlcModel", "build_flc", "reference_ctrl_output"),
+})
 
 __all__ = [
     "AnsweringMachineModel",

@@ -4,25 +4,18 @@ Determines the least-cost buswidth satisfying Equation 1 under
 designer-weighted constraints.  See DESIGN.md section 3.
 """
 
-from repro.busgen.algorithm import (
-    BusDesign,
-    WidthEvaluation,
-    buswidth_range,
-    generate_bus,
-)
-from repro.busgen.constraints import (
-    BusConstraint,
-    ConstraintKind,
-    ConstraintSet,
-    max_avg_rate,
-    max_buswidth,
-    max_peak_rate,
-    min_avg_rate,
-    min_buswidth,
-    min_peak_rate,
-)
-from repro.busgen.lanes import Lane, LaneAllocation, allocate_lanes
-from repro.busgen.split import SplitResult, split_group
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.busgen.algorithm": (
+        "BusDesign", "WidthEvaluation", "buswidth_range", "generate_bus"),
+    "repro.busgen.constraints": (
+        "BusConstraint", "ConstraintKind", "ConstraintSet", "max_avg_rate",
+        "max_buswidth", "max_peak_rate", "min_avg_rate", "min_buswidth",
+        "min_peak_rate"),
+    "repro.busgen.lanes": ("Lane", "LaneAllocation", "allocate_lanes"),
+    "repro.busgen.split": ("SplitResult", "split_group"),
+})
 
 __all__ = [
     "BusConstraint",

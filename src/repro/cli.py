@@ -34,11 +34,9 @@ from repro.busgen.split import split_group
 from repro.errors import InfeasibleBusError, ReproError, SimulationError
 from repro.estimate.area import estimate_bus_area
 from repro.estimate.perf import PerformanceEstimator
-from repro.hdl.validate import validate_vhdl
-from repro.hdl.vhdl import emit_refined_spec
 from repro.protocols import PROTOCOLS, get_protocol
 from repro.protogen.refine import refine_system
-from repro.sim.runtime import BACKENDS, simulate
+from repro.sim import BACKENDS
 
 
 def _load_system(name: str):
@@ -277,6 +275,8 @@ def _synth_flow(args: argparse.Namespace, sim_metrics, captured) -> int:
               f"{area.total_gates} gate-equivalents")
 
     if args.simulate:
+        from repro.sim.runtime import simulate
+
         sim_kwargs = {}
         faults_path = getattr(args, "faults", None)
         if faults_path:
@@ -346,6 +346,8 @@ def _synth_flow(args: argparse.Namespace, sim_metrics, captured) -> int:
         # mean the controllers are wrong -- emitting HDL for them would
         # hand a provably broken design to logic synthesis.
         from repro.analysis.mc import verify_refined as mc_verify
+        from repro.hdl.validate import validate_vhdl
+        from repro.hdl.vhdl import emit_refined_spec
 
         verification = mc_verify(refined)
         if captured is not None:
@@ -580,6 +582,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     from repro.obs.flight import (FlightRecorder, explain_payload,
                                   render_explain_text,
                                   write_flight_trace)
+    from repro.sim.runtime import simulate
 
     protocol = get_protocol(args.protocol)
     widths = [args.width] if args.width is not None else None
@@ -668,7 +671,10 @@ def _profile_once(args: argparse.Namespace, systems, protocol):
     """
     from repro import obs
     from repro.analysis import analyze_refined
+    from repro.hdl.validate import validate_vhdl
+    from repro.hdl.vhdl import emit_refined_spec
     from repro.obs import report as obs_report
+    from repro.sim.runtime import simulate
 
     tracer = obs.Tracer()
     simulations = []
@@ -714,6 +720,43 @@ def _profile_once(args: argparse.Namespace, systems, protocol):
     return tracer, simulations, sim_runs, summary_rows, exit_code
 
 
+#: A stage whose child spans cover less than this share of its wall
+#: time gets an explicit ``<stage> (self)`` row in the profile table.
+SELF_ROW_COVERAGE = 0.90
+
+
+def _stage_rows(tracers) -> List[tuple]:
+    """The profile table of one or more traced runs: ``(stage, calls,
+    per-run total ms)`` in first-seen order.  Under every stage whose
+    children cover less than :data:`SELF_ROW_COVERAGE` of it (median
+    over the runs) comes a ``<stage> (self)`` row holding the time no
+    child span accounts for."""
+    import statistics
+
+    order: List[str] = []
+    calls = {}
+    samples = {}
+    own = {}
+    for tracer in tracers:
+        self_ms = tracer.self_ms()
+        for entry in tracer.breakdown():
+            name = entry["name"]
+            if name not in samples:
+                order.append(name)
+                calls[name] = entry["calls"]
+                samples[name] = []
+            samples[name].append(entry["total_ms"])
+            if name in self_ms:
+                own.setdefault(name, []).append(self_ms[name])
+    rows = []
+    for name in order:
+        rows.append((name, calls[name], samples[name]))
+        if name in own and statistics.median(own[name]) > \
+                (1 - SELF_ROW_COVERAGE) * statistics.median(samples[name]):
+            rows.append((f"{name} (self)", calls[name], own[name]))
+    return rows
+
+
 def cmd_profile(args: argparse.Namespace) -> int:
     """Instrumented synth+sim sweep with a stage-by-stage breakdown."""
     import statistics
@@ -723,33 +766,23 @@ def cmd_profile(args: argparse.Namespace) -> int:
     protocol = get_protocol(args.protocol)
     repeat = max(1, args.repeat)
 
-    stage_order: List[str] = []
-    stage_samples = {}
-    stage_calls = {}
+    tracers = []
     for _ in range(repeat):
         (tracer, simulations, sim_runs,
          summary_rows, exit_code) = _profile_once(args, systems, protocol)
-        for entry in tracer.breakdown():
-            name = entry["name"]
-            if name not in stage_samples:
-                stage_order.append(name)
-                stage_samples[name] = []
-                stage_calls[name] = entry["calls"]
-            stage_samples[name].append(entry["total_ms"])
+        tracers.append(tracer)
 
     if repeat == 1:
         print("stage breakdown (wall time):")
         print(f"  {'stage':<46} {'calls':>5} {'total ms':>10}")
-        for name in stage_order:
-            print(f"  {name:<46} {stage_calls[name]:>5} "
-                  f"{stage_samples[name][0]:>10.3f}")
+        for name, calls, samples in _stage_rows(tracers):
+            print(f"  {name:<46} {calls:>5} {samples[0]:>10.3f}")
     else:
         print(f"stage breakdown (wall time over {repeat} runs):")
         print(f"  {'stage':<46} {'calls':>5} {'min ms':>10} "
               f"{'median ms':>10}")
-        for name in stage_order:
-            samples = stage_samples[name]
-            print(f"  {name:<46} {stage_calls[name]:>5} "
+        for name, calls, samples in _stage_rows(tracers):
+            print(f"  {name:<46} {calls:>5} "
                   f"{min(samples):>10.3f} "
                   f"{statistics.median(samples):>10.3f}")
     backend = getattr(args, "backend", "interp")

@@ -1,28 +1,19 @@
 """Performance and traffic estimation (substrate for the paper's
 ref [10] estimator).  See DESIGN.md section 3."""
 
-from repro.estimate.area import (
-    BusAreaEstimate,
-    ProcedureArea,
-    estimate_bus_area,
-    estimate_spec_area,
-    procedure_area,
-)
-from repro.estimate.perf import (
-    PerformanceEstimator,
-    ProcessEstimate,
-    comp_clocks_body,
-    sweep_widths,
-    transfer_clocks,
-)
-from repro.estimate.traffic import (
-    ChannelTraffic,
-    GroupTraffic,
-    channel_traffic,
-    format_traffic_table,
-    group_traffic,
-    interconnect_reduction,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.estimate.area": (
+        "BusAreaEstimate", "ProcedureArea", "estimate_bus_area",
+        "estimate_spec_area", "procedure_area"),
+    "repro.estimate.perf": (
+        "PerformanceEstimator", "ProcessEstimate", "comp_clocks_body",
+        "sweep_widths", "transfer_clocks"),
+    "repro.estimate.traffic": (
+        "ChannelTraffic", "GroupTraffic", "channel_traffic",
+        "format_traffic_table", "group_traffic", "interconnect_reduction"),
+})
 
 __all__ = [
     "BusAreaEstimate",

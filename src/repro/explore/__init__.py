@@ -29,19 +29,19 @@ Layers:
 CLI: ``repro-synth explore`` (see ``docs/explore.md``).
 """
 
-from repro.explore.cache import (
-    CacheIncident,
-    CacheStats,
-    ExploreCache,
-    NullCache,
-)
-from repro.explore.diffcheck import differential_check
-from repro.explore.grid import GridPoint, expand_grid, parse_grid
-from repro.explore.keys import Keyer, TaskSpec, code_salt
-from repro.explore.pareto import pareto_rank, render_table
-from repro.explore.runner import canonical_report, explore
-from repro.explore.systems import LoadedSystem, load_system
-from repro.explore.tasks import build_point_tasks, execute_task
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.explore.cache": (
+        "CacheIncident", "CacheStats", "ExploreCache", "NullCache"),
+    "repro.explore.diffcheck": ("differential_check",),
+    "repro.explore.grid": ("GridPoint", "expand_grid", "parse_grid"),
+    "repro.explore.keys": ("Keyer", "TaskSpec", "code_salt"),
+    "repro.explore.pareto": ("pareto_rank", "render_table"),
+    "repro.explore.runner": ("canonical_report", "explore"),
+    "repro.explore.systems": ("LoadedSystem", "load_system"),
+    "repro.explore.tasks": ("build_point_tasks", "execute_task"),
+})
 
 __all__ = [
     "CacheIncident",

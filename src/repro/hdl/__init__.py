@@ -1,21 +1,17 @@
 """VHDL emission of refined specifications (Figures 4-5 of the paper)
 plus a structural validator.  See DESIGN.md section 3."""
 
-from repro.hdl.validate import (
-    ValidationReport,
-    count_procedures_per_channel,
-    validate_vhdl,
-)
-from repro.hdl.vhdl import (
-    emit_behavior,
-    emit_bus_declaration,
-    emit_procedure,
-    emit_refined_spec,
-    emit_variable_process,
-    vhdl_expr,
-    vhdl_type,
-)
-from repro.hdl.writer import SourceWriter
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.hdl.validate": (
+        "ValidationReport", "count_procedures_per_channel", "validate_vhdl"),
+    "repro.hdl.vhdl": (
+        "emit_behavior", "emit_bus_declaration", "emit_procedure",
+        "emit_refined_spec", "emit_variable_process", "vhdl_expr",
+        "vhdl_type"),
+    "repro.hdl.writer": ("SourceWriter",),
+})
 
 __all__ = [
     "SourceWriter",

@@ -21,28 +21,17 @@ See ``docs/observability.md`` for the metric catalogue and a
 ``repro-synth profile`` walkthrough.
 """
 
-from repro.obs.flight import (
-    FlightEvent,
-    FlightRecorder,
-    FlightTransaction,
-)
-from repro.obs.simmetrics import (
-    ArbiterMetrics,
-    BusMetrics,
-    Histogram,
-    KernelMetrics,
-    SimMetrics,
-)
-from repro.obs.tracer import (
-    Span,
-    Tracer,
-    activate,
-    active_tracer,
-    count,
-    deactivate,
-    span,
-    tracing,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.flight": ("FlightEvent", "FlightRecorder", "FlightTransaction"),
+    "repro.obs.simmetrics": (
+        "ArbiterMetrics", "BusMetrics", "Histogram", "KernelMetrics",
+        "SimMetrics"),
+    "repro.obs.tracer": (
+        "Span", "Tracer", "activate", "active_tracer", "count", "deactivate",
+        "span", "tracing"),
+})
 
 __all__ = [
     "ArbiterMetrics",

@@ -8,12 +8,18 @@ event catalogue and bucket semantics, and ``repro-synth explain`` for
 the CLI surface.
 """
 
-from .attribution import summarize
-from .critical import critical_path, detect_anomalies
-from .explain import (EXPLAIN_SCHEMA, explain_payload, flight_trace,
-                      render_explain_text, write_flight_trace)
-from .recorder import (BUCKETS, EVENT_KINDS, FlightEvent,
-                       FlightRecorder, FlightTransaction)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.flight.attribution": ("summarize",),
+    "repro.obs.flight.critical": ("critical_path", "detect_anomalies"),
+    "repro.obs.flight.explain": (
+        "EXPLAIN_SCHEMA", "explain_payload", "flight_trace",
+        "render_explain_text", "write_flight_trace"),
+    "repro.obs.flight.recorder": (
+        "BUCKETS", "EVENT_KINDS", "FlightEvent", "FlightRecorder",
+        "FlightTransaction"),
+})
 
 __all__ = [
     "BUCKETS",

@@ -168,6 +168,27 @@ class Tracer:
             entry["total_ms"] += span.duration_ms
         return [totals[name] for name in order]
 
+    def self_ms(self) -> Dict[str, float]:
+        """Wall milliseconds each span name spends outside its direct
+        children, summed over its spans.  Only names with at least one
+        child span appear (a leaf is all self time by definition)."""
+        stack: List[Span] = []
+        covered: Dict[int, int] = {}
+        for span in self.spans:
+            while stack and stack[-1].depth >= span.depth:
+                stack.pop()
+            if stack:
+                parent = id(stack[-1])
+                covered[parent] = covered.get(parent, 0) + span.duration_ns
+            stack.append(span)
+        parents = {span.name for span in self.spans if id(span) in covered}
+        totals: Dict[str, float] = {}
+        for span in self.spans:
+            if span.name in parents:
+                own = span.duration_ns - covered.get(id(span), 0)
+                totals[span.name] = totals.get(span.name, 0.0) + own / 1e6
+        return totals
+
     def to_dict(self) -> Dict[str, Any]:
         return {
             "spans": [span.to_dict() for span in self.spans],

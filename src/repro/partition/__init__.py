@@ -1,11 +1,15 @@
 """System partitioning (substrate for the paper's ref [1], the SpecSyn
 partitioner).  See DESIGN.md section 3."""
 
-from repro.partition.channels import default_bus_groups, extract_channels
-from repro.partition.closeness import ClosenessModel, cut_traffic
-from repro.partition.improve import ImprovementReport, improve_partition
-from repro.partition.module import ModuleKind, SystemModule
-from repro.partition.partitioner import Partition, cluster_partition
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.partition.channels": ("default_bus_groups", "extract_channels"),
+    "repro.partition.closeness": ("ClosenessModel", "cut_traffic"),
+    "repro.partition.improve": ("ImprovementReport", "improve_partition"),
+    "repro.partition.module": ("ModuleKind", "SystemModule"),
+    "repro.partition.partitioner": ("Partition", "cluster_partition"),
+})
 
 __all__ = [
     "ClosenessModel",

@@ -2,48 +2,26 @@
 refinement producing a simulatable bus-based specification.
 See DESIGN.md section 3."""
 
-from repro.protocols import (
-    BURST_HANDSHAKE,
-    FIXED_DELAY,
-    FULL_HANDSHAKE,
-    HALF_HANDSHAKE,
-    HARDWIRED,
-    PROTOCOLS,
-    Protocol,
-    get_protocol,
-)
-from repro.protogen.fsm import (
-    FsmState,
-    FsmTransition,
-    ProtocolFsm,
-    synthesize_fsm,
-)
-from repro.protogen.idassign import IdAssignment, assign_ids
-from repro.protogen.procedures import (
-    ChannelProcedures,
-    CommProcedure,
-    FieldKind,
-    MessageField,
-    MessageLayout,
-    Role,
-    WordSlice,
-    WordSpec,
-    make_procedures,
-)
-from repro.protogen.report import (
-    bus_report,
-    performance_report,
-    synthesis_report,
-)
-from repro.protogen.refine import (
-    RefinedBus,
-    RefinedSpec,
-    generate_protocol,
-    refine_system,
-    remote_access_remains,
-)
-from repro.protogen.structure import BusStructure, make_structure
-from repro.protogen.varproc import VariableProcess, make_variable_processes
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.protocols": (
+        "BURST_HANDSHAKE", "FIXED_DELAY", "FULL_HANDSHAKE", "HALF_HANDSHAKE",
+        "HARDWIRED", "PROTOCOLS", "Protocol", "get_protocol"),
+    "repro.protogen.fsm": (
+        "FsmState", "FsmTransition", "ProtocolFsm", "synthesize_fsm"),
+    "repro.protogen.idassign": ("IdAssignment", "assign_ids"),
+    "repro.protogen.procedures": (
+        "ChannelProcedures", "CommProcedure", "FieldKind", "MessageField",
+        "MessageLayout", "Role", "WordSlice", "WordSpec", "make_procedures"),
+    "repro.protogen.report": (
+        "bus_report", "performance_report", "synthesis_report"),
+    "repro.protogen.refine": (
+        "RefinedBus", "RefinedSpec", "generate_protocol", "refine_system",
+        "remote_access_remains"),
+    "repro.protogen.structure": ("BusStructure", "make_structure"),
+    "repro.protogen.varproc": ("VariableProcess", "make_variable_processes"),
+})
 
 __all__ = [
     "BURST_HANDSHAKE",

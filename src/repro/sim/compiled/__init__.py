@@ -8,14 +8,15 @@ back -- per behavior, per channel -- to the interpreter, with the
 reason recorded on the :class:`CompiledProgram`.
 """
 
-from repro.sim.compiled.analyze import Analysis, analyze_spec
-from repro.sim.compiled.codegen import (
-    CompiledProgram,
-    compile_spec,
-    source_transform,
-)
-from repro.sim.compiled.emit import emit_sources
-from repro.sim.compiled.exprgen import CompileFallback
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.compiled.analyze": ("Analysis", "analyze_spec"),
+    "repro.sim.compiled.codegen": (
+        "CompiledProgram", "compile_spec", "source_transform"),
+    "repro.sim.compiled.emit": ("emit_sources",),
+    "repro.sim.compiled.exprgen": ("CompileFallback",),
+})
 
 __all__ = [
     "Analysis",

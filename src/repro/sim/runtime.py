@@ -44,9 +44,9 @@ from repro.obs.simmetrics import SimMetrics
 from repro.obs.tracer import span as obs_span
 from repro.protogen.procedures import CommProcedure
 from repro.protogen.refine import RefinedSpec
+from repro.sim import BACKENDS
 from repro.sim.arbiter import Arbiter
 from repro.sim.bus import SimBus, StorageAdapter, Transaction
-from repro.sim.faults import FaultInjector, FaultPlan, FaultRecord
 from repro.sim.kernel import SimStats, Simulator, Wait, WaitOn
 from repro.sim.signals import Signal
 from repro.spec.behavior import Behavior
@@ -68,9 +68,7 @@ from repro.spec.variable import Variable
 if TYPE_CHECKING:
     from repro.obs.flight import FlightRecorder
     from repro.sim.compiled import CompiledProgram
-
-#: The two simulation backends ``simulate`` can select between.
-BACKENDS = ("interp", "compiled")
+    from repro.sim.faults import FaultInjector, FaultPlan, FaultRecord
 
 #: One stage of a schedule: a behavior name or several run concurrently.
 Stage = Union[str, Sequence[str]]
@@ -176,10 +174,11 @@ class RefinedSimulation:
         self.sim = Simulator(max_clocks=max_clocks,
                              metrics=metrics.kernel if metrics else None,
                              recorder=recorder)
-        self.injector: Optional[FaultInjector] = (
-            FaultInjector(faults, self.sim) if faults is not None
-            and len(faults) else None
-        )
+        self.injector: Optional[FaultInjector] = None
+        if faults is not None and len(faults):
+            from repro.sim.faults import FaultInjector
+
+            self.injector = FaultInjector(faults, self.sim)
         if self.injector is not None and recorder is not None:
             self.injector.recorder = recorder
         self.env = Environment()

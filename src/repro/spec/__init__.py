@@ -5,59 +5,29 @@ This package is substrate #1 of the reproduction: the SpecCharts/VHDL
 operates on.  See DESIGN.md section 3.
 """
 
-from repro.spec.access import (
-    AccessSummary,
-    Direction,
-    analyze_behavior,
-    analyze_system,
-    total_traffic_bits,
-)
-from repro.spec.behavior import Behavior
-from repro.spec.expr import (
-    BinOp,
-    Const,
-    Environment,
-    Expr,
-    Index,
-    Ref,
-    UnOp,
-    as_expr,
-    vmax,
-    vmin,
-)
-from repro.spec.interp import AccessEvent, InterpResult, Interpreter, run_reference
-from repro.spec.simplify import (
-    simplify_behavior,
-    simplify_body,
-    simplify_expr,
-)
-from repro.spec.stmt import (
-    Assign,
-    Call,
-    ElementTarget,
-    For,
-    If,
-    Nop,
-    ScalarTarget,
-    Stmt,
-    Target,
-    WaitClocks,
-    While,
-    map_body,
-    walk,
-)
-from repro.spec.system import SystemSpec
-from repro.spec.types import (
-    ArrayType,
-    BitType,
-    DataType,
-    IntType,
-    address_bits,
-    clog2,
-    data_bits,
-    message_bits,
-)
-from repro.spec.variable import Variable
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.spec.access": (
+        "AccessSummary", "Direction", "analyze_behavior", "analyze_system",
+        "total_traffic_bits"),
+    "repro.spec.behavior": ("Behavior",),
+    "repro.spec.expr": (
+        "BinOp", "Const", "Environment", "Expr", "Index", "Ref", "UnOp",
+        "as_expr", "vmax", "vmin"),
+    "repro.spec.interp": (
+        "AccessEvent", "InterpResult", "Interpreter", "run_reference"),
+    "repro.spec.simplify": (
+        "simplify_behavior", "simplify_body", "simplify_expr"),
+    "repro.spec.stmt": (
+        "Assign", "Call", "ElementTarget", "For", "If", "Nop", "ScalarTarget",
+        "Stmt", "Target", "WaitClocks", "While", "map_body", "walk"),
+    "repro.spec.system": ("SystemSpec",),
+    "repro.spec.types": (
+        "ArrayType", "BitType", "DataType", "IntType", "address_bits", "clog2",
+        "data_bits", "message_bits"),
+    "repro.spec.variable": ("Variable",),
+})
 
 __all__ = [
     "AccessEvent",

@@ -440,6 +440,54 @@ class TestProfileCli:
                      "--metrics-out", str(tmp_path / "m.json")]) == 0
         assert active_tracer() is None
 
+    @staticmethod
+    def _synthetic_tracer(loose_child_ms):
+        """root 100 ms over children of ``loose_child_ms``; tight
+        100 ms over a 95 ms child; a 7 ms leaf."""
+        now = [0]
+        tracer = obs.Tracer(clock=lambda: now[0])
+
+        def advance(ms):
+            now[0] += int(ms * 1e6)
+
+        with tracer.span("root"):
+            for ms in loose_child_ms:
+                with tracer.span("root.child"):
+                    advance(ms)
+            advance(100 - sum(loose_child_ms))
+        with tracer.span("tight"):
+            with tracer.span("tight.child"):
+                advance(95)
+            advance(5)
+        with tracer.span("leaf"):
+            advance(7)
+        return tracer
+
+    def test_self_ms_on_a_synthetic_span_tree(self):
+        tracer = self._synthetic_tracer([30, 20])
+        assert tracer.self_ms() == pytest.approx(
+            {"root": 50.0, "tight": 5.0})
+
+    def test_profile_table_gets_self_row_under_loose_parents(self):
+        from repro.cli import _stage_rows
+
+        rows = _stage_rows([self._synthetic_tracer([30, 20])])
+        assert [(name, calls) for name, calls, _ in rows] == [
+            ("root", 1), ("root (self)", 1), ("root.child", 2),
+            ("tight", 1), ("tight.child", 1), ("leaf", 1)]
+        assert rows[1][2] == pytest.approx([50.0])
+        # Over repeated runs the median decides: self times of 50, 2
+        # and 2 ms (median 2) stay under the 10 ms floor; 50 and 2 ms
+        # (median 26) do not.
+        rows = _stage_rows([self._synthetic_tracer([30, 20]),
+                           self._synthetic_tracer([98]),
+                           self._synthetic_tracer([50, 48])])
+        assert "root (self)" not in [name for name, _, _ in rows]
+        rows = _stage_rows([self._synthetic_tracer([30, 20]),
+                           self._synthetic_tracer([98])])
+        self_row = next(r for r in rows if r[0] == "root (self)")
+        assert self_row[2] == pytest.approx([50.0, 2.0])
+
 
 class TestSynthObsFlags:
     def test_synth_writes_both_outputs(self, tmp_path, capsys):

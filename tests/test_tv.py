@@ -17,20 +17,27 @@ Four directions of evidence:
 * **Obligation edges**: wrap-elision boundaries under hypothesis, a
   forced-unsound elision that must be refuted P803, and div/mod error
   parity between the backends.
+* **Copy-free normalization**: the in-place ``normalize`` agrees with
+  the copy-then-rename reference on random expressions and on every
+  verdict of the seeded defect corpus, and never changes its input.
 """
 
+import ast
+import copy
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.tv import validate_refined
+from repro.analysis.tv import checker, pyparse, validate_refined
 from repro.analysis.tv.mutations import (
     DEFECTS,
     _counter_spec,
+    _validate_build,
     check_defect,
 )
+from repro.analysis.tv.pyparse import Renamer, normalize
 from repro.busgen.algorithm import generate_bus
 from repro.errors import DIAGNOSTIC_CODES, SimulationError
 from repro.partition.channels import default_bus_groups, extract_channels
@@ -322,3 +329,116 @@ def test_div_mod_by_zero_error_parity(op):
         errors[backend] = str(excinfo.value)
     assert errors["interp"] == errors["compiled"]
     assert "at clock" in errors["interp"]
+
+
+# ---------------------------------------------------------------------------
+# Copy-free normalization
+
+
+def _reference_normalize(node, renamer):
+    """The copy-then-rename normalizer the in-place one replaced."""
+    tree = copy.deepcopy(node)
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Name):
+            sub.id = renamer.rename(sub.id)
+    return ast.dump(tree, annotate_fields=False)
+
+
+#: Compiler temporaries, namespace bindings and plain names.
+_TEMPS = ("_t3", "_t0", "_v7", "_w1", "_i2", "_f1", "_r2", "_adr4",
+          "_dat5")
+_NAMES = _TEMPS + ("_b12_env_read", "_b3_div", "_b7_xf_ch0_specialized",
+                   "x", "t", "env_read", "_x0")
+
+_EXPRS = st.recursive(
+    st.one_of(st.sampled_from(_NAMES), st.integers(0, 999).map(str)),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*&|<"), inner)
+        .map(lambda p: f"({p[0]} {p[1]} {p[2]})"),
+        inner.map(lambda e: f"(-{e})"),
+        st.tuples(st.sampled_from(_NAMES), st.lists(inner, max_size=3))
+        .map(lambda p: f"{p[0]}({', '.join(p[1])})"),
+        st.tuples(st.sampled_from(_NAMES), inner)
+        .map(lambda p: f"{p[0]}[{p[1]}]"),
+        st.tuples(inner, inner, inner)
+        .map(lambda p: f"({p[0]} if {p[1]} else {p[2]})"),
+        st.tuples(st.sampled_from(_TEMPS), inner)
+        .map(lambda p: f"({p[0]} := {p[1]})"),
+    ),
+    max_leaves=12)
+
+
+def _renamer(seen):
+    renamer = Renamer()
+    for name in seen:
+        renamer.rename(name)
+    return renamer
+
+
+@given(code=_EXPRS, seen=st.lists(st.sampled_from(_NAMES), max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_normalize_matches_deepcopy_reference(code, seen):
+    """Same dump, same renamer end state (first-occurrence order is
+    ``ast.walk``'s breadth-first order), input left untouched -- also
+    when the renamer arrives carrying earlier temporaries."""
+    node = ast.parse(code, mode="eval").body
+    before = ast.dump(node, include_attributes=True)
+    ours, reference = _renamer(seen), _renamer(seen)
+    assert normalize(node, ours) == _reference_normalize(node, reference)
+    assert ours.snapshot() == reference.snapshot()
+    assert ast.dump(node, include_attributes=True) == before
+
+
+def test_normalize_renames_a_shared_name_node_like_the_reference():
+    shared = ast.Name(id="_t9", ctx=ast.Load())
+    node = ast.BinOp(
+        left=shared, op=ast.Add(),
+        right=ast.Call(func=ast.Name(id="_b4_div", ctx=ast.Load()),
+                       args=[shared, ast.Name(id="_v1", ctx=ast.Load())],
+                       keywords=[]))
+    before = ast.dump(node)
+    ours, reference = Renamer(), Renamer()
+    assert normalize(node, ours) == _reference_normalize(node, reference)
+    assert ours.snapshot() == reference.snapshot()
+    assert ast.dump(node) == before
+
+
+def test_normalize_restores_input_when_renaming_raises():
+    class Exploding(Renamer):
+        def rename(self, name):
+            if name == "boom":
+                raise RuntimeError(name)
+            return super().rename(name)
+
+    node = ast.parse("_t1 + f(_v2, _b3_div, boom, _w4)", mode="eval").body
+    before = ast.dump(node, include_attributes=True)
+    with pytest.raises(RuntimeError):
+        normalize(node, Exploding())
+    assert ast.dump(node, include_attributes=True) == before
+
+
+@pytest.mark.parametrize(
+    "defect", DEFECTS, ids=[d.name for d in DEFECTS])
+def test_corpus_verdicts_unchanged_by_copy_free_normalize(defect,
+                                                          monkeypatch):
+    """Every verdict of the clean and the mutated build -- status,
+    reason and P8xx diagnostics -- is what the copying normalizer
+    gave."""
+    spec, schedule = defect.build()
+
+    def verdicts():
+        outcome = {}
+        for transform in (None, defect.transform):
+            monkeypatch.setattr(checker, "_CACHE", {})
+            report, _ = _validate_build(spec, schedule, transform)
+            outcome[transform is None] = {
+                name: (v.status, v.reason,
+                       [d.to_dict() for d in v.diagnostics])
+                for name, v in sorted(report.verdicts.items())}
+        return outcome
+
+    ours = verdicts()
+    monkeypatch.setattr(pyparse, "normalize", _reference_normalize)
+    assert verdicts() == ours
+    assert any(defect.code in str(entry)
+               for entry in ours[False].values())
