@@ -13,6 +13,12 @@ ones.  Two sweeps check it and record the numbers:
   1..64 words over a full START/DONE handshake on live signals; clocks
   per word must stay constant (2) and throughput roughly flat, showing
   per-word kernel cost independent of message size.
+* **contended-arbiter sweep**: 16..256 requesters queue on one
+  :class:`~repro.sim.arbiter.ImmediateArbiter`; each grant must wake
+  only the granted requester, so kernel wakeups per grant stay at or
+  below 2 whatever the queue length.  The count is machine-independent,
+  so a regression to waking every waiter on every grant fails on any
+  runner.
 
 Writes ``benchmarks/reports/kernel_scaling.txt`` and
 ``BENCH_kernel_scaling.json`` (consumed by the CI regression gate).
@@ -21,6 +27,7 @@ Writes ``benchmarks/reports/kernel_scaling.txt`` and
 import time
 
 from benchmarks._report import format_table, write_json_report, write_report
+from repro.sim.arbiter import ImmediateArbiter
 from repro.sim.kernel import Simulator, Wait, WaitOn
 from repro.sim.signals import Signal
 
@@ -34,6 +41,10 @@ PROCESS_COUNTS = (10, 50, 200, 800)
 MESSAGE_WORDS = (1, 4, 16, 64)
 #: Messages per handshake measurement.
 MESSAGES = 200
+#: Requesters queued on one arbiter in the contended sweep.
+WAITER_COUNTS = (16, 32, 64, 128, 256)
+#: Bus transactions each requester makes in the contended sweep.
+GRANTS_PER_WAITER = 4
 
 
 def _build_ring(sim: Simulator, total_processes: int):
@@ -107,6 +118,28 @@ def _run_handshake(words_per_message: int):
     stats = sim.run()
     wall = time.perf_counter() - started
     return wall, stats.end_time
+
+
+def _run_contended(waiters: int):
+    """``waiters`` requesters each hold one ImmediateArbiter for one
+    clock, ``GRANTS_PER_WAITER`` times; all start at clock 0."""
+    sim = Simulator()
+    arbiter = ImmediateArbiter(sim)
+
+    def requester(name: str):
+        for _ in range(GRANTS_PER_WAITER):
+            yield from arbiter.acquire(name)
+            yield Wait(1)
+            arbiter.release(name)
+
+    for i in range(waiters):
+        name = f"req{i}"
+        sim.add_process(name, requester(name))
+    started = time.perf_counter()
+    stats = sim.run()
+    wall = time.perf_counter() - started
+    return (wall, stats.end_time, len(arbiter.grants), sim.signal_wakeups,
+            sim.predicate_evals)
 
 
 def _best_of(fn, *args, repeats: int = 3):
@@ -194,11 +227,51 @@ def test_message_size_scales_linearly():
     _SECTIONS.setdefault("_lines", []).extend(lines)
 
 
+def test_contended_arbiter_wakes_one_requester_per_grant():
+    """Wakeups per grant stay <= 2 as the arbiter's queue grows."""
+    sweep = {}
+    for waiters in WAITER_COUNTS:
+        wall, end_time, grants, wakeups, evals = _best_of(
+            _run_contended, waiters)
+        sweep[waiters] = {
+            "wall_seconds": round(wall, 4),
+            "sim_clocks": end_time,
+            "grants": grants,
+            "signal_wakeups": wakeups,
+            "wakeups_per_grant": round(wakeups / grants, 3),
+            "predicate_evals_per_grant": round(evals / grants, 3),
+        }
+
+    for waiters in WAITER_COUNTS:
+        row = sweep[waiters]
+        # One clock per grant, back to back: the bus never idles.
+        assert row["grants"] == waiters * GRANTS_PER_WAITER
+        assert row["sim_clocks"] == row["grants"]
+        # Waking every waiter on every grant would make this ~waiters.
+        assert row["wakeups_per_grant"] <= 2, (waiters, row)
+
+    rows = [[waiters,
+             sweep[waiters]["wall_seconds"],
+             sweep[waiters]["grants"],
+             sweep[waiters]["wakeups_per_grant"],
+             sweep[waiters]["predicate_evals_per_grant"]]
+            for waiters in WAITER_COUNTS]
+    lines = ["Kernel scaling: requesters contending for one "
+             f"ImmediateArbiter ({GRANTS_PER_WAITER} grants each)", ""]
+    lines += format_table(
+        ["waiters", "wall s", "grants", "wakeups/grant", "evals/grant"],
+        rows)
+    _SECTIONS["contended_arbiter_sweep"] = {
+        str(waiters): sweep[waiters] for waiters in WAITER_COUNTS
+    }
+    _SECTIONS.setdefault("_lines", []).extend([""] + lines)
+
+
 _SECTIONS = {}
 
 
 def test_zz_write_reports():
-    """Runs last (alphabetically): persists both sweeps' artifacts."""
+    """Runs last (alphabetically): persists every sweep's artifacts."""
     lines = _SECTIONS.pop("_lines", ["(sweeps did not run)"])
     write_report("kernel_scaling", lines)
     write_json_report("kernel_scaling", {

@@ -19,6 +19,14 @@ An arbiter serializes whole *messages* (all words of a transaction),
 matching the paper's observation that merged channels may delay
 individual transfers while preserving total traffic (Figure 2).
 
+A blocked requester sleeps on its own grant wire, created on its first
+blocking wait; a grant sets only the chosen requester's wire.  A grant
+therefore wakes exactly one process however many wait: a contended bus
+costs O(1) kernel wakeups per grant (plus the policy's pick), not
+O(waiters).  The granted process is notified in the same kernel step
+that made the grant, so the kernel's usual same-pass/next-pass rule
+places it, and clocks do not depend on how many others wait.
+
 Usage inside a process coroutine::
 
     yield from arbiter.acquire("EVAL_R3")
@@ -46,10 +54,11 @@ class Arbiter:
         self.sim = sim
         self.grant_delay = grant_delay
         self._owner: Optional[str] = None
-        #: Internal event wire: bumped whenever ownership changes, so
-        #: waiters sleep on a sensitivity list instead of polling.  It
-        #: is not a counted bus wire.
-        self._grant_event = Signal("arbiter.grant")
+        #: requester -> internal grant wire, bumped only when that
+        #: requester is granted, so a waiter sleeps on a sensitivity
+        #: list of its own instead of polling or waking on every grant.
+        #: These are not counted bus wires.
+        self._grant_wires: Dict[str, Signal] = {}
         self._waiting: List[str] = []
         #: (time, requester) grant log for analysis.
         self.grants: List[tuple] = []
@@ -86,8 +95,11 @@ class Arbiter:
                                      request_time)
         self._try_grant()
         if self._owner != requester:
-            yield WaitOn((self._grant_event,),
-                         lambda: self._owner == requester)
+            wire = self._grant_wires.get(requester)
+            if wire is None:
+                wire = self._grant_wires[requester] = \
+                    Signal(f"arbiter.grant.{requester}")
+            yield WaitOn((wire,), lambda: self._owner == requester)
         if self.grant_delay:
             yield Wait(self.grant_delay)
         waited = self.sim.now - request_time
@@ -105,7 +117,6 @@ class Arbiter:
                 f"{requester} released a bus owned by {self._owner}"
             )
         self._owner = None
-        self._grant_event.set(self._grant_event.value + 1)
         self._try_grant()
 
     def _try_grant(self) -> None:
@@ -115,7 +126,9 @@ class Arbiter:
         if chosen is not None:
             self._waiting.remove(chosen)
             self._owner = chosen
-            self._grant_event.set(self._grant_event.value + 1)
+            wire = self._grant_wires.get(chosen)
+            if wire is not None:
+                wire.set(wire.value + 1)
 
     @property
     def owner(self) -> Optional[str]:
@@ -140,9 +153,11 @@ class PriorityArbiter(Arbiter):
     def _pick_next(self) -> Optional[str]:
         if not self._waiting:
             return None
+        # ``min`` returns the first minimum, so equal priorities are
+        # granted FIFO.
+        priorities = self.priorities
         return min(self._waiting,
-                   key=lambda name: (self.priorities.get(name, 1 << 30),
-                                     self._waiting.index(name)))
+                   key=lambda name: priorities.get(name, 1 << 30))
 
 
 class RoundRobinArbiter(Arbiter):
@@ -161,9 +176,10 @@ class RoundRobinArbiter(Arbiter):
             return None
         count = len(self.members)
         for offset in range(1, count + 1):
-            candidate = self.members[(self._last_index + offset) % count]
+            position = (self._last_index + offset) % count
+            candidate = self.members[position]
             if candidate in self._waiting:
-                self._last_index = self.members.index(candidate)
+                self._last_index = position
                 return candidate
         # Waiters not in the member list fall back to FIFO.
         return self._waiting[0]

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import CodeType
 from typing import Callable, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.sim.arbiter import ImmediateArbiter
@@ -502,14 +503,6 @@ class _BehaviorCompiler:
         return "\n".join(self.lines) + "\n", self.ns
 
 
-@lru_cache(maxsize=256)
-def _compile_source(filename: str, source: str):
-    """``compile`` is pure in (filename, source) and costs ~0.3 ms per
-    generated behavior; re-simulating the same design (benchmark
-    repeats, parameter sweeps) hits this cache instead."""
-    return compile(source, filename, "exec")
-
-
 #: When set, every generated source is passed through this
 #: ``(behavior_name, source) -> source`` hook before being exec'd and
 #: recorded.  This is the seam the translation validator's codegen
@@ -547,10 +540,13 @@ class source_transform:
 # text emission even though the generated source is a pure function of
 # the behavior IR plus the planning facts.  We memoize (source, binding
 # recipe) under a structural key and, on a hit, only rebuild the
-# namespace against the new runtime.  A key that failed to capture some
-# input would surface immediately: the translation validator proves
-# every source against the *current* spec's facts before the kernel
-# runs it, so a stale hit is refuted and demoted, never silently wrong.
+# namespace against the new runtime.  The entry also keeps the compiled
+# code object: ``compile`` costs ~0.3 ms per generated behavior, so a
+# hit skips both emission and compilation.  A key that failed to
+# capture some input would surface immediately: the translation
+# validator proves every source against the *current* spec's facts
+# before the kernel runs it, so a stale hit is refuted and demoted,
+# never silently wrong.
 # ----------------------------------------------------------------------
 
 def _dtype_code(dtype) -> str:
@@ -643,8 +639,8 @@ def _memo_key(runtime, behavior, analysis: Analysis, channel_modes,
             + ";".join(calls))
 
 
-#: memo key -> (generated source, binding recipe).
-_SOURCE_MEMO: Dict[tuple, Tuple[str, tuple]] = {}
+#: memo key -> (generated source, binding recipe, code object).
+_SOURCE_MEMO: Dict[tuple, Tuple[str, tuple, CodeType]] = {}
 _SOURCE_MEMO_LIMIT = 512
 
 
@@ -721,10 +717,16 @@ def compile_spec(runtime) -> CompiledProgram:
             continue
         memo_key = _memo_key(runtime, behavior, analysis,
                              program.channel_modes, deferred_channels)
+        filename = f"<compiled {spec.name}.{behavior.name}>"
         cached = _SOURCE_MEMO.get(memo_key)
         if cached is not None:
-            source, recipe = cached
+            source, recipe, code = cached
             ns = _rebind(runtime, behavior, recipe, pair_map, analysis)
+            if code.co_filename != filename:
+                # Same text under another spec name: recompile so
+                # tracebacks name the spec that is running.
+                code = compile(source, filename, "exec")
+                _SOURCE_MEMO[memo_key] = (source, recipe, code)
         else:
             compiler = _BehaviorCompiler(runtime, behavior, analysis,
                                          program.channel_modes,
@@ -734,13 +736,14 @@ def compile_spec(runtime) -> CompiledProgram:
             except CompileFallback as exc:
                 program.fallbacks[behavior.name] = str(exc)
                 continue
+            code = compile(source, filename, "exec")
             if len(_SOURCE_MEMO) >= _SOURCE_MEMO_LIMIT:
                 _SOURCE_MEMO.pop(next(iter(_SOURCE_MEMO)))
-            _SOURCE_MEMO[memo_key] = (source, tuple(compiler.recipe))
+            _SOURCE_MEMO[memo_key] = (source, tuple(compiler.recipe), code)
         if _SOURCE_TRANSFORM is not None:
+            # A planted defect: run the transformed text, never cache it.
             source = _SOURCE_TRANSFORM(behavior.name, source)
-        code = _compile_source(
-            f"<compiled {spec.name}.{behavior.name}>", source)
+            code = compile(source, filename, "exec")
         exec(code, ns)
         program.processes[behavior.name] = ns["run"]  # type: ignore
         program.sources[behavior.name] = source

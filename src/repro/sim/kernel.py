@@ -57,6 +57,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -331,6 +332,8 @@ class Simulator:
         self.max_clocks = max_clocks
         self.max_passes_per_clock = max_passes_per_clock
         self._processes: List[_Process] = []
+        #: Registered process names (O(1) duplicate check).
+        self._names: Set[str] = set()
         self._now = 0
         self._metrics = metrics
         #: Optional flight recorder (``on_kernel_end``/``on_deadlock``);
@@ -365,7 +368,7 @@ class Simulator:
     def add_process(self, name: str, body: ProcessBody,
                     daemon: bool = False) -> None:
         """Register a process; it becomes runnable at time 0."""
-        if any(p.name == name for p in self._processes):
+        if name in self._names:
             raise SimulationError(f"duplicate process name {name!r}")
         if not hasattr(body, "send"):
             raise SimulationError(
@@ -375,6 +378,7 @@ class Simulator:
         index = len(self._processes)
         process = _Process(name=name, body=body, daemon=daemon, index=index)
         self._processes.append(process)
+        self._names.add(name)
         if not daemon:
             self._active_workers += 1
         heappush(self._timers, (0, index))

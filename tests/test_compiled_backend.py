@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.tv.mutations import DEFECTS, check_defect
 from repro.errors import SimulationError
 from repro.partition.channels import default_bus_groups, extract_channels
 from repro.partition.partitioner import Partition
@@ -409,3 +410,73 @@ class TestSourceMemo:
         spec, schedule = self._refined()
         report = validate_refined(spec, schedule=schedule)
         assert report.all_validated, report.render_text()
+
+
+class TestCompileCache:
+    """The source memo also holds each behavior's code object, so a warm
+    re-elaboration neither emits nor compiles; a source-transform hook
+    compiles its own text and never reaches the memo."""
+
+    def test_warm_rerun_of_many_behaviors_compiles_nothing(self,
+                                                           monkeypatch):
+        from repro.sim.compiled import codegen
+        from tests.test_stress import many_producers_system
+
+        # More behaviors than the old 256-entry compile cache held.
+        system, group, _, producers, _ = many_producers_system(
+            producers=260, messages=1)
+        refined = generate_protocol(system, group, width=8)
+        calls = []
+
+        def counting_compile(source, filename, mode):
+            calls.append(filename)
+            return compile(source, filename, mode)
+
+        monkeypatch.setattr(codegen, "compile", counting_compile,
+                            raising=False)
+        first = simulate(refined, backend="compiled")
+        assert first.fallbacks == {}
+        assert len(calls) == producers
+        calls.clear()
+        second = simulate(refined, backend="compiled")
+        assert calls == []
+        _assert_results_agree(simulate(refined, backend="interp"), second)
+
+    def test_cached_code_is_named_after_the_running_spec(self):
+        """A memo hit from an equal behavior of another spec still
+        compiles under this spec's name, so tracebacks point at it."""
+        programs = {}
+        for name in ("first", "second"):
+            counter = Variable("COUNT", IntType(8))
+            behavior = Behavior("B", [Assign(counter, Ref(counter) + 1)])
+            system = SystemSpec(name, [behavior], [counter])
+            partition = Partition(system)
+            chip = partition.add_module("chip")
+            memory = partition.add_module("memory")
+            partition.assign(behavior, chip)
+            partition.assign(counter, memory)
+            group = default_bus_groups(partition)[0]
+            refined = generate_protocol(system, group, width=8)
+            programs[refined.name] = RefinedSimulation(
+                refined, backend="compiled").compiled
+        first, second = programs.values()
+        assert second.sources["B"] is first.sources["B"]
+        for name, program in programs.items():
+            assert program.processes["B"].__code__.co_filename == \
+                f"<compiled {name}.B>"
+
+    @pytest.mark.parametrize("defect", DEFECTS, ids=[d.name for d in DEFECTS])
+    def test_corpus_refuted_and_never_cached(self, defect):
+        outcome = check_defect(defect)
+        assert outcome.clean and outcome.mutated
+        assert outcome.codes == (defect.code,), outcome.render_line()
+        assert outcome.refuted and outcome.replay.confirmed
+        # The mutated text ran under the hook, but a clean run afterwards
+        # (served from the memo) executes the clean code: it agrees with
+        # the interpreter, which the mutated code provably does not.
+        spec, schedule = defect.build()
+        compiled = simulate(spec, schedule=schedule, backend="compiled")
+        assert compiled.fallbacks == {}
+        spec, schedule = defect.build()
+        _assert_results_agree(
+            simulate(spec, schedule=schedule, backend="interp"), compiled)
