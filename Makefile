@@ -78,11 +78,16 @@ explain-examples: ## flight-recorder explanations of the built-in systems
 	PYTHONPATH=src $(PYTHON) -m repro.cli explain flc --protection crc8
 
 explore-examples: ## memoized design-space sweeps (with differential
-                  ## cache proof) on the three case-study systems
+                  ## cache proof) on the three case-study systems; the
+                  ## FLC grid runs twice, the second time warm and
+                  ## served from the cache with --jobs 2
 	rm -rf observability/explore-cache
 	PYTHONPATH=src $(PYTHON) -m repro.cli explore flc \
 		--grid width=4,8,auto protection=none,parity,crc8 \
 		--cache observability/explore-cache/flc --check
+	PYTHONPATH=src $(PYTHON) -m repro.cli explore flc \
+		--grid width=4,8,auto protection=none,parity,crc8 \
+		--cache observability/explore-cache/flc --jobs 2 --check
 	PYTHONPATH=src $(PYTHON) -m repro.cli explore answering-machine \
 		--grid width=4,8 arbitration=fifo,priority \
 		--cache observability/explore-cache/answering-machine --check

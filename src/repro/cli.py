@@ -23,65 +23,9 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro import __version__
-from repro.busgen.algorithm import generate_bus
-from repro.busgen.constraints import (
-    ConstraintSet,
-    max_buswidth,
-    min_buswidth,
-    min_peak_rate,
-)
-from repro.busgen.split import split_group
 from repro.errors import InfeasibleBusError, ReproError, SimulationError
-from repro.estimate.area import estimate_bus_area
-from repro.estimate.perf import PerformanceEstimator
 from repro.protocols import PROTOCOLS, get_protocol
-from repro.protogen.refine import refine_system
 from repro.sim import BACKENDS
-
-
-def _load_system(name: str):
-    """Returns (system, group, schedule, oracle_dict_or_None).
-
-    ``name`` may also be a path to a ``.spec`` source file; its
-    partition block (or an automatic 2-way clustering when absent)
-    supplies the channels, grouped one bus per module pair.
-    """
-    import os
-
-    if os.path.exists(name):
-        from repro.frontend.parser import parse_spec_file
-        from repro.partition.channels import default_bus_groups
-        from repro.partition.partitioner import cluster_partition
-
-        parsed = parse_spec_file(name)
-        partition = parsed.partition
-        if partition is None:
-            print("note: no partition block; clustering into 2 modules")
-            partition = cluster_partition(parsed.system, 2)
-        groups = default_bus_groups(partition)
-        if not groups:
-            raise SystemExit(
-                "the partition produces no cross-module channels"
-            )
-        return parsed.system, groups, parsed.behavior_order, None
-    if name == "flc":
-        from repro.apps.flc import build_flc, reference_ctrl_output
-        model = build_flc()
-        return (model.system, model.bus_b, model.schedule,
-                {"ctrl_out": reference_ctrl_output(250, 180)})
-    if name == "answering-machine":
-        from repro.apps.answering_machine import (
-            build_answering_machine,
-            reference_state,
-        )
-        model = build_answering_machine()
-        return model.system, model.bus, model.schedule, reference_state()
-    if name == "ethernet":
-        from repro.apps.ethernet import build_ethernet, reference_state
-        model = build_ethernet()
-        return model.system, model.bus, model.schedule, reference_state()
-    raise SystemExit(f"unknown system {name!r}; choose from flc, "
-                     "answering-machine, ethernet")
 
 
 def cmd_info(_args: argparse.Namespace) -> int:
@@ -162,9 +106,21 @@ def _synth_flow(args: argparse.Namespace, sim_metrics, captured) -> int:
         print("error: --emit-sim-source dumps the code generated for "
               "the simulation and requires --simulate", file=sys.stderr)
         return 2
-    system, groups, schedule, oracle = _load_system(args.system)
-    if not isinstance(groups, list):
-        groups = [groups]
+    from repro.busgen.algorithm import generate_bus
+    from repro.busgen.constraints import (
+        ConstraintSet,
+        max_buswidth,
+        min_buswidth,
+        min_peak_rate,
+    )
+    from repro.busgen.split import split_group
+    from repro.estimate.area import estimate_bus_area
+    from repro.explore.systems import load_system
+    from repro.protogen.refine import refine_system
+
+    loaded = load_system(args.system, on_note=print)
+    system, groups = loaded.system, loaded.groups
+    schedule, oracle = loaded.schedule, loaded.oracle
     if len(groups) > 1:
         print(f"{len(groups)} module-pair buses to synthesize")
     protocol = get_protocol(args.protocol)
@@ -392,11 +348,14 @@ def _build_refined(system_name: str, protocol, widths=None,
     validation among them) whose contention facts depend on which
     behaviors run concurrently.
     """
-    system, groups, schedule, oracle = _load_system(system_name)
-    if not isinstance(groups, list):
-        groups = [groups]
+    from repro.busgen.algorithm import generate_bus
+    from repro.busgen.split import split_group
+    from repro.explore.systems import load_system
+    from repro.protogen.refine import refine_system
+
+    loaded = load_system(system_name, on_note=print)
     plans = []
-    for group in groups:
+    for group in loaded.groups:
         try:
             plans.append(generate_bus(group, protocol=protocol,
                                       widths=widths))
@@ -411,7 +370,8 @@ def _build_refined(system_name: str, protocol, widths=None,
             result = split_group(group, protocol=protocol)
             print(f"note: {result.describe()}")
             plans.extend(result.designs)
-    return refine_system(system, plans, protection=protection), schedule
+    return (refine_system(loaded.system, plans, protection=protection),
+            loaded.schedule)
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -577,22 +537,25 @@ def cmd_explain(args: argparse.Namespace) -> int:
     where every clock of every transaction went."""
     import json as json_module
 
+    from repro.busgen.algorithm import generate_bus
+    from repro.busgen.split import split_group
+    from repro.explore.systems import load_system
     from repro.obs import SimMetrics
     from repro.obs import report as obs_report
     from repro.obs.flight import (FlightRecorder, explain_payload,
                                   render_explain_text,
                                   write_flight_trace)
+    from repro.protogen.refine import refine_system
     from repro.sim.runtime import simulate
 
     protocol = get_protocol(args.protocol)
     widths = [args.width] if args.width is not None else None
     protection = args.protection if args.protection != "none" else None
 
-    system, groups, schedule, oracle = _load_system(args.system)
-    if not isinstance(groups, list):
-        groups = [groups]
+    loaded = load_system(args.system, on_note=print)
+    schedule = loaded.schedule
     plans = []
-    for group in groups:
+    for group in loaded.groups:
         try:
             plans.append(generate_bus(group, protocol=protocol,
                                       widths=widths))
@@ -603,7 +566,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
             if not args.json:
                 print(f"note: {split.describe()}")
             plans.extend(split.designs)
-    refined = refine_system(system, plans, protection=protection)
+    refined = refine_system(loaded.system, plans, protection=protection)
 
     sim_kwargs = {}
     if args.faults:
@@ -671,9 +634,12 @@ def _profile_once(args: argparse.Namespace, systems, protocol):
     """
     from repro import obs
     from repro.analysis import analyze_refined
+    from repro.busgen.algorithm import generate_bus
+    from repro.explore.systems import load_system
     from repro.hdl.validate import validate_vhdl
     from repro.hdl.vhdl import emit_refined_spec
     from repro.obs import report as obs_report
+    from repro.protogen.refine import refine_system
     from repro.sim.runtime import simulate
 
     tracer = obs.Tracer()
@@ -684,12 +650,11 @@ def _profile_once(args: argparse.Namespace, systems, protocol):
     with obs.tracing(tracer):
         for name in systems:
             with obs.span("profile.system", system=name):
-                system, groups, schedule, oracle = _load_system(name)
-                if not isinstance(groups, list):
-                    groups = [groups]
+                loaded = load_system(name, on_note=print)
+                schedule, oracle = loaded.schedule, loaded.oracle
                 plans = [generate_bus(group, protocol=protocol)
-                         for group in groups]
-                refined = refine_system(system, plans)
+                         for group in loaded.groups]
+                refined = refine_system(loaded.system, plans)
                 analyze_refined(refined)
                 text = emit_refined_spec(refined)
                 validate_vhdl(
@@ -810,9 +775,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     import json as json_mod
 
     from repro.explore import (
-        ExploreCache,
         canonical_report,
-        differential_check,
         expand_grid,
         explore,
         parse_grid,
@@ -829,6 +792,8 @@ def cmd_explore(args: argparse.Namespace) -> int:
         if not args.cache:
             raise ReproError("--check requires --cache DIR (there is "
                              "no cache to check otherwise)")
+        from repro.explore import ExploreCache, differential_check
+
         cache = ExploreCache(args.cache)
         diff = differential_check(args.system, points, cache,
                                   backend=args.backend)
@@ -888,6 +853,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
 def cmd_fig7(_args: argparse.Namespace) -> int:
     from repro.apps.flc import build_flc
+    from repro.estimate.perf import PerformanceEstimator
     from repro.protocols import FULL_HANDSHAKE
 
     model = build_flc()
@@ -907,6 +873,13 @@ def cmd_fig7(_args: argparse.Namespace) -> int:
 
 def cmd_fig8(_args: argparse.Namespace) -> int:
     from repro.apps.flc import build_flc
+    from repro.busgen.algorithm import generate_bus
+    from repro.busgen.constraints import (
+        ConstraintSet,
+        max_buswidth,
+        min_buswidth,
+        min_peak_rate,
+    )
 
     model = build_flc()
     designs = {

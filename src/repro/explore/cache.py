@@ -80,6 +80,10 @@ INCIDENT_CODES: Dict[str, str] = {
 #: partial *entry* becomes visible (asserted by the crash-safety test).
 CRASH_ENV = "REPRO_EXPLORE_TEST_CRASH"
 
+#: What parsing an envelope raises when its bytes are not one (a
+#: truncated write, or JSON that is not an object).
+_UNREADABLE = (ValueError, KeyError, TypeError, AttributeError)
+
 
 @dataclass(frozen=True)
 class CacheIncident:
@@ -170,42 +174,45 @@ class ExploreCache:
             self.stats.misses += 1
             return None, False
 
-        incident = self._gate(task, key, raw)
+        entry, incident = self._gate(task, key, raw)
         if incident is not None:
             self._record(incident)
             self.stats.misses += 1
             return None, False
-        entry = json.loads(raw)
         self.stats.hits += 1
         return entry["payload"], True
 
-    def _gate(self, task: TaskSpec, key: str,
-              raw: bytes) -> Optional[CacheIncident]:
-        """The cheap read gate: EX103 then EX102 then EX101."""
+    def _gate(self, task: TaskSpec, key: str, raw: bytes
+              ) -> Tuple[Optional[Dict[str, Any]], Optional[CacheIncident]]:
+        """The cheap read gate: EX103 then EX102 then EX101.
+
+        Returns ``(entry, None)`` for a trusted entry, parsed once, and
+        ``(None, incident)`` for the first check that fails.
+        """
         try:
             entry = json.loads(raw)
             if entry.get("schema") != SCHEMA:
                 raise ValueError(f"schema {entry.get('schema')!r}")
             payload = entry["payload"]
             recorded = entry["payload_sha256"]
-        except (ValueError, KeyError, TypeError) as error:
-            return CacheIncident(EX103_CORRUPT, task.stage, key,
-                                 f"unreadable envelope: {error}")
+        except _UNREADABLE as error:
+            return None, CacheIncident(EX103_CORRUPT, task.stage, key,
+                                       f"unreadable envelope: {error}")
         if payload_checksum(payload) != recorded:
-            return CacheIncident(EX103_CORRUPT, task.stage, key,
-                                 "payload checksum mismatch")
+            return None, CacheIncident(EX103_CORRUPT, task.stage, key,
+                                       "payload checksum mismatch")
         if entry.get("salt") != self.keyer.salt:
-            return CacheIncident(
+            return None, CacheIncident(
                 EX102_STALE, task.stage, key,
                 f"entry salt {entry.get('salt')!r} != current "
                 f"{self.keyer.salt!r}")
         inputs = self.keyer.structural_inputs(task)
         if entry.get("inputs") != inputs:
-            return CacheIncident(
+            return None, CacheIncident(
                 EX101_COLLISION, task.stage, key,
                 "entry inputs differ from the requesting task's "
                 "(key function lost an input?)")
-        return None
+        return entry, None
 
     def _record(self, incident: CacheIncident) -> None:
         self.incidents.append(incident)
@@ -275,7 +282,7 @@ class ExploreCache:
                 if payload_checksum(entry["payload"]) != \
                         entry["payload_sha256"]:
                     raise ValueError("payload checksum mismatch")
-            except (ValueError, KeyError, TypeError) as error:
+            except _UNREADABLE as error:
                 incidents.append(CacheIncident(
                     EX103_CORRUPT, stage, key, str(error)))
         return incidents

@@ -8,12 +8,16 @@ grid across workers:
 * ``jobs=1`` runs inline in this process -- deterministic, no pool,
   and the mode that accepts an injected cache/keyer (the defect
   corpus and most tests use it);
-* ``jobs>1`` uses a :class:`~concurrent.futures.ProcessPoolExecutor`;
-  workers share nothing but the on-disk cache, and results are
-  re-ordered by point index so the report is byte-identical to an
-  inline run (modulo wall-clock and hit/miss counters -- two workers
-  may race to compute a shared prefix, which is benign: both publish
-  identical bytes).
+* ``jobs>1`` first answers, in this process, every point whose whole
+  chain is a cache hit (a cached ``error`` payload included), then
+  sends the points left -- any miss or gate incident -- to a
+  :class:`~concurrent.futures.ProcessPoolExecutor` of
+  ``min(jobs, points left)`` workers.  A fully cached sweep starts no
+  pool and never imports the stage modules.  Workers share nothing
+  but the on-disk cache, and results are re-ordered by point index so
+  the report is byte-identical to an inline run (modulo wall-clock
+  and hit/miss counters -- two workers may race to compute a shared
+  prefix, which is benign: both publish identical bytes).
 
 Every point is traced with :mod:`repro.obs` spans (one
 ``explore.point`` span wrapping one span per stage, attributes
@@ -24,21 +28,20 @@ rolled up into the run report.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.errors import ExploreError
 from repro.explore.cache import ExploreCache, NullCache
 from repro.explore.grid import GridPoint
-from repro.explore.keys import payload_checksum
+from repro.explore.keys import TaskSpec, payload_checksum
 from repro.explore.pareto import pareto_rank
 from repro.explore.systems import cached_load
 from repro.explore.tasks import (
     PointContext,
     build_point_tasks,
     execute_task,
+    import_stage_modules,
 )
 
 REPORT_SCHEMA = "repro.explore/report/v1"
@@ -131,6 +134,44 @@ def run_point_job(job: Dict[str, Any]) -> Dict[str, Any]:
     return result
 
 
+class _NeedsCompute(Exception):
+    """A stage of the point being served from the cache missed."""
+
+
+class _HitsOnlyCache(ExploreCache):
+    """The sweep cache as the parent reads it: a hit is served, and a
+    miss or a gate incident abandons the point (it then goes to a
+    worker, which reads, counts and reports it afresh)."""
+
+    def get(self, task: TaskSpec) -> Tuple[Optional[Any], bool]:
+        payload, hit = super().get(task)
+        if not hit:
+            raise _NeedsCompute
+        return payload, hit
+
+
+def _serve_cached(ctx: PointContext, cache_dir: str,
+                  points: Sequence[GridPoint], backend: str
+                  ) -> Tuple[Dict[int, Dict[str, Any]], int]:
+    """Answer every point whose reached stages all hit the cache.
+
+    Returns ``(results by index, hits)``.  Each point is read through
+    its own cache handle, so an abandoned point's reads are dropped
+    with it and never reach the run's counters.
+    """
+    served: Dict[int, Dict[str, Any]] = {}
+    hits = 0
+    for index, point in enumerate(points):
+        cache = _HitsOnlyCache(cache_dir)
+        try:
+            served[index] = execute_point(ctx, cache, point, backend,
+                                          index)
+        except _NeedsCompute:
+            continue
+        hits += cache.stats.hits
+    return served, hits
+
+
 def explore(system: str, points: Sequence[GridPoint], *,
             jobs: int = 1, cache_dir: Optional[str] = None,
             backend: str = "interp",
@@ -150,40 +191,37 @@ def explore(system: str, points: Sequence[GridPoint], *,
             "build their own)")
     started = time.perf_counter()
 
+    ctx = _context_for(system)
     incidents: List[Dict[str, Any]] = []
     if jobs == 1:
         if cache is None:
             cache = (ExploreCache(cache_dir) if cache_dir
                      else NullCache())
-        ctx = _context_for(system)
         results = [execute_point(ctx, cache, point, backend, index)
                    for index, point in enumerate(points)]
         stats = cache.stats.to_dict()
         incidents = [i.to_dict() for i in cache.incidents]
     else:
+        served: Dict[int, Dict[str, Any]] = {}
+        stats = {"hits": 0, "misses": 0, "writes": 0, "incidents": 0}
+        if cache_dir:
+            served, stats["hits"] = _serve_cached(ctx, cache_dir, points,
+                                                  backend)
         jobs_spec = [{"system": system, "backend": backend,
                       "cache_root": cache_dir, "index": index,
                       "point": point.params()}
-                     for index, point in enumerate(points)]
-        try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(run_point_job, jobs_spec))
-        except BrokenProcessPool as error:
-            raise ExploreError(
-                f"a sweep worker died mid-point: {error}; the cache "
-                "write protocol guarantees no partial entry was "
-                "published -- rerun to recompute") from None
-        results.sort(key=lambda r: r["index"])
-        stats = {"hits": 0, "misses": 0, "writes": 0, "incidents": 0}
-        for result in results:
+                     for index, point in enumerate(points)
+                     if index not in served]
+        computed: List[Dict[str, Any]] = []
+        if jobs_spec:
+            computed = _run_pool(min(jobs, len(jobs_spec)), jobs_spec)
+        for result in computed:
             worker_stats = result.pop("cache_stats")
             for name in stats:
                 stats[name] += worker_stats[name]
             incidents.extend(result.pop("cache_incidents"))
-
-    for result in results:
-        result.pop("cache_stats", None)
-        result.pop("cache_incidents", None)
+        results = sorted(list(served.values()) + computed,
+                         key=lambda r: r["index"])
 
     return {
         "schema": REPORT_SCHEMA,
@@ -197,6 +235,27 @@ def explore(system: str, points: Sequence[GridPoint], *,
         "pareto": pareto_rank(results),
         "wall_seconds": time.perf_counter() - started,
     }
+
+
+def _run_pool(workers: int, jobs_spec: List[Dict[str, Any]]
+              ) -> List[Dict[str, Any]]:
+    """Run ``jobs_spec`` on a process pool; results in index order.
+
+    The stage modules and the loaded system are in this process before
+    the pool starts, so forked workers inherit both.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    import_stage_modules()
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run_point_job, jobs_spec))
+    except BrokenProcessPool as error:
+        raise ExploreError(
+            f"a sweep worker died mid-point: {error}; the cache "
+            "write protocol guarantees no partial entry was "
+            "published -- rerun to recompute") from None
 
 
 def canonical_report(report: Dict[str, Any]) -> Dict[str, Any]:

@@ -24,25 +24,42 @@ too.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+import importlib
+from typing import Any, Dict, List, Optional
 
-from repro.busgen.algorithm import generate_bus
-from repro.busgen.split import split_group
 from repro.channels.group import ChannelGroup
 from repro.errors import ExploreError, InfeasibleBusError, ReproError
-from repro.estimate.area import estimate_bus_area
 from repro.explore.grid import WIDTH_AUTO, GridPoint
 from repro.explore.keys import TaskSpec, fingerprint_system
 from repro.explore.systems import LoadedSystem
 from repro.protocols import get_protocol
-from repro.protogen.refine import refine_system
-from repro.sim.runtime import simulate
 
 #: Stage names, in pipeline order.
 STAGES = ("partition", "busgen", "refine", "sim")
 
 #: Deterministic TDMA slot length for the ``tdma`` arbitration axis.
 TDMA_SLOT_CLOCKS = 8
+
+#: The modules the stage computes import when they run.  A sweep whose
+#: every stage is a cache hit never loads them;
+#: :func:`import_stage_modules` loads them up front.
+STAGE_MODULES = (
+    "repro.busgen.algorithm",
+    "repro.busgen.split",
+    "repro.estimate.area",
+    "repro.protogen.refine",
+    "repro.sim.runtime",
+)
+
+
+def import_stage_modules() -> None:
+    """Import every stage compute's modules now.
+
+    The runner calls this before it starts its process pool, so forked
+    workers inherit the modules instead of each importing them.
+    """
+    for name in STAGE_MODULES:
+        importlib.import_module(name)
 
 
 def arbiter_factories(arbitration: str):
@@ -170,6 +187,9 @@ class PointContext:
 
     def compute_busgen(self, params: Dict[str, Any],
                        _partition: Dict[str, Any]) -> Dict[str, Any]:
+        from repro.busgen.algorithm import generate_bus
+        from repro.busgen.split import split_group
+
         protocol = get_protocol(params["protocol"])
         width = params["width"]
         plans: List[Dict[str, Any]] = []
@@ -203,6 +223,9 @@ class PointContext:
     def compute_refine(self, params: Dict[str, Any],
                        busgen: Dict[str, Any],
                        refine_key: str) -> Dict[str, Any]:
+        from repro.estimate.area import estimate_bus_area
+        from repro.protogen.refine import refine_system
+
         protocol = get_protocol(params["protocol"])
         protection = params["protection"]
         plans = [
@@ -251,6 +274,8 @@ class PointContext:
 
     def compute_sim(self, params: Dict[str, Any], refined: Any
                     ) -> Dict[str, Any]:
+        from repro.sim.runtime import simulate
+
         factories = arbiter_factories(params["arbitration"])
         result = simulate(refined, schedule=self.loaded.schedule,
                           arbiter_factories=factories,

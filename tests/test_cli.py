@@ -19,9 +19,18 @@ class TestParser:
             main(["--version"])
         assert excinfo.value.code == 0
 
-    def test_unknown_system_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["synth", "nope"])
+    def test_unknown_system_rejected(self, capsys):
+        assert main(["synth", "nope"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: unknown system 'nope'")
+
+    @pytest.mark.parametrize("command", ["lint", "verify", "explain",
+                                         "profile"])
+    def test_unknown_system_exits_2_for_other_commands(self, command,
+                                                      capsys):
+        assert main([command, "nope"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: unknown system 'nope'")
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):

@@ -38,7 +38,8 @@ from repro.explore.cache import (
 from repro.explore.defects import CONTROL, CORPUS, run_scenario
 from repro.explore.keys import canonical_bytes, code_salt, digest
 from repro.explore.pareto import pareto_rank, render_table
-from repro.explore.tasks import build_point_tasks
+from repro.explore.systems import load_system
+from repro.explore.tasks import PointContext, build_point_tasks
 
 DEMO_GRID = ["width=1,2", "protection=none,parity"]
 
@@ -205,6 +206,16 @@ class TestCacheGates:
         _, hit = cache.get(task)
         assert not hit
         assert [i.code for i in cache.incidents] == [EX103_CORRUPT]
+
+    def test_non_object_entry_fires_ex103(self, tmp_path):
+        cache = ExploreCache(str(tmp_path))
+        task = self.put_one(cache)
+        with open(cache.path_for(task), "wb") as handle:
+            handle.write(b"[1, 2]")
+        _, hit = cache.get(task)
+        assert not hit
+        assert [i.code for i in cache.incidents] == [EX103_CORRUPT]
+        assert [i.code for i in cache.scan()] == [EX103_CORRUPT]
 
     def test_stale_salt_fires_ex102(self, tmp_path):
         writer = ExploreCache(str(tmp_path),
@@ -374,6 +385,107 @@ class TestRunner:
         assert diff["incidents"] == []
         assert diff["checked"] == 11
         assert diff["skipped_gated"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Parallel sweeps: cached points are answered without a pool
+# ---------------------------------------------------------------------------
+
+#: A demo grid with one point whose chain ends in a cached ``error``
+#: payload (parity needs the full handshake).
+MIXED_GRID = ["width=2", "protocol=full_handshake,half_handshake",
+              "protection=none,parity"]
+
+
+class TestParentServe:
+    def pool_sizes(self, monkeypatch):
+        """Record the ``max_workers`` of every pool the runner starts."""
+        import concurrent.futures
+
+        sizes = []
+        real = concurrent.futures.ProcessPoolExecutor
+
+        class Recording(real):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            Recording)
+        return sizes
+
+    # 4 stage hits per point; the MIXED_GRID error point stops at its
+    # cached refine error after 3.
+    @pytest.mark.parametrize("grid, jobs, hits", [(DEMO_GRID, 2, 16),
+                                                  (MIXED_GRID, 4, 15)])
+    def test_warm_sweep_starts_no_pool(self, tmp_path, monkeypatch,
+                                       grid, jobs, hits):
+        points = expand_grid(parse_grid(grid))
+        cold = explore("_demo", points, jobs=1, cache_dir=str(tmp_path))
+        sizes = self.pool_sizes(monkeypatch)
+        warm = explore("_demo", points, jobs=jobs,
+                       cache_dir=str(tmp_path))
+        assert sizes == []
+        assert canonical_report(warm) == canonical_report(cold)
+        assert warm["cache"]["stats"] == {
+            "hits": hits, "misses": 0, "writes": 0, "incidents": 0}
+        assert warm["jobs"] == jobs
+
+    def test_half_cached_grid_computes_only_missing_points(
+            self, tmp_path, monkeypatch):
+        # Cache the protection=none half; the parity half then misses
+        # only its own refine and sim stages (distinct keys, no race).
+        explore("_demo", expand_grid(parse_grid(
+            ["width=1,2", "protection=none"])), jobs=1,
+            cache_dir=str(tmp_path))
+        sizes = self.pool_sizes(monkeypatch)
+        points = demo_points()
+        report = explore("_demo", points, jobs=4,
+                         cache_dir=str(tmp_path))
+        assert sizes == [2]
+        assert report["cache"]["stats"] == {
+            "hits": 2 * 4 + 2 * 2, "misses": 2 * 2, "writes": 2 * 2,
+            "incidents": 0}
+        assert [r["index"] for r in report["results"]] == [0, 1, 2, 3]
+        computed = [r["params"]["protection"] for r in report["results"]
+                    if not all(s["cached"] for s in r["stages"])]
+        assert computed == ["parity", "parity"]
+        cold = explore("_demo", points, jobs=1)
+        assert canonical_report(report) == canonical_report(cold)
+
+    def rewrite_entry(self, cache, task, edit):
+        path = cache.path_for(task)
+        with open(path, "rb") as handle:
+            raw = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(edit(raw))
+
+    @pytest.mark.parametrize("code", [EX103_CORRUPT, EX102_STALE])
+    def test_gate_incident_reported_once_and_rewritten(self, tmp_path,
+                                                       code):
+        points = demo_points()
+        cold = explore("_demo", points, jobs=1, cache_dir=str(tmp_path))
+        cache = ExploreCache(str(tmp_path))
+        fingerprint = PointContext(load_system("_demo")).fingerprint
+        sim_task = build_point_tasks(fingerprint, points[2], "interp")[-1]
+
+        def stale(raw):
+            entry = json.loads(raw)
+            entry["salt"] = "repro-0.0+older"
+            return canonical_bytes(entry)
+
+        def truncate(raw):
+            return raw[:len(raw) // 2]
+
+        self.rewrite_entry(cache, sim_task,
+                           truncate if code == EX103_CORRUPT else stale)
+        report = explore("_demo", points, jobs=2, cache_dir=str(tmp_path))
+        assert [i["code"] for i in report["cache"]["incidents"]] == [code]
+        assert report["cache"]["stats"] == {
+            "hits": 4 * 4 - 1, "misses": 1, "writes": 1, "incidents": 1}
+        assert canonical_report(report) == canonical_report(cold)
+        payload, hit = ExploreCache(str(tmp_path)).get(sim_task)
+        assert hit and payload == cold["results"][2]["sim"]
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,19 @@ CLI_IMPORT_FORBIDDEN = (
     "repro.apps",
     "repro.frontend.parser",
     "repro.verify",
+    "repro.busgen.algorithm",
+    "repro.protogen.refine",
+    "repro.estimate.perf",
+)
+
+#: Modules a fully cached ``explore --jobs 2`` must not load: no stage
+#: computes, so neither the stage modules nor the process pool do.
+WARM_EXPLORE_FORBIDDEN = (
+    "repro.busgen.algorithm",
+    "repro.protogen",
+    "repro.sim.runtime",
+    "repro.sim.kernel",
+    "concurrent.futures.process",
 )
 
 #: Every package whose ``__init__`` exports lazily.
@@ -94,6 +107,28 @@ def test_synth_vhdl_loads_neither_compiled_backend_nor_tv(tmp_path):
     assert os.path.exists(target)
     assert _loaded_under(modules,
                          ("repro.sim.compiled", "repro.analysis.tv")) == []
+
+
+def test_warm_parallel_explore_loads_no_stage_modules(tmp_path):
+    from repro.explore import expand_grid, explore, parse_grid
+
+    cache = str(tmp_path / "cache")
+    grid = ["width=1,2", "protection=none,parity"]
+    explore("_demo", expand_grid(parse_grid(grid)), jobs=1,
+            cache_dir=cache)
+    result = _run_fresh(f"""
+        import contextlib, io, json, sys
+        import repro.cli
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = repro.cli.main(["explore", "_demo", "--grid", *{grid!r},
+                                   "--jobs", "2", "--cache", {cache!r}])
+        print(json.dumps({{"code": code, "out": out.getvalue(),
+                          "modules": sorted(sys.modules)}}))
+    """)
+    assert result["code"] == 0
+    assert "hits 16  misses 0  writes 0" in result["out"]
+    assert _loaded_under(result["modules"], WARM_EXPLORE_FORBIDDEN) == []
 
 
 @pytest.mark.parametrize("package", LAZY_PACKAGES)

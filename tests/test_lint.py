@@ -171,12 +171,11 @@ class TestCleanApps:
     @pytest.mark.parametrize("name", ["flc", "answering-machine",
                                       "ethernet"])
     def test_builtin_systems_lint_clean(self, name):
-        from repro.cli import _load_system
+        from repro.explore.systems import load_system
 
-        system, groups, schedule, oracle = _load_system(name)
-        if not isinstance(groups, list):
-            groups = [groups]
-        spec = refine_system(system, [generate_bus(g) for g in groups])
+        loaded = load_system(name)
+        spec = refine_system(loaded.system,
+                             [generate_bus(g) for g in loaded.groups])
         ds = analyze_refined(spec)
         assert ds.clean, ds.render_text()
 
