@@ -21,7 +21,10 @@ obligation per legal codegen transform:
 * **transfer timing** -- a deferred fused transfer must forward the
   live pending batch as its third argument, zero it afterwards, and is
   only accepted where the checker independently re-derives
-  deferred-arbitration eligibility (else **P804**);
+  deferred-arbitration eligibility; every call site's transfer must be
+  bound to the tier the checker's own plan gives its channel (the
+  source names no tier, so :func:`validate_program` compares the
+  program's recorded bindings) (else **P804**);
 * **algebra membership** -- any construct outside these patterns is
   unprovable (**P805**);
 * **value preservation** -- every lowered expression must normalize to
@@ -738,7 +741,9 @@ class _Checker:
                 f"data pack of {plan.proc_name}")
             data_name = data_tmp
         result_tmp = low.fresh_temp()
-        xf = f"xf_{sanitize(plan.channel)}_{plan.mode}"
+        xf = f"xf_{sanitize(plan.channel)}"
+        if plan.deferred:
+            xf += f"_{plan.mode}"
         node = cur.next(f"the {plan.proc_name} transfer")
         if self._is_deferred_transfer(node):
             if not plan.deferred:
@@ -802,7 +807,8 @@ class _Checker:
                              addr_name: str, data_name: str,
                              result_tmp: str, deferred: bool,
                              plan: CallPlan) -> None:
-        """``<r> = yield from xf_<ch>_<mode>(addr, data[, t])``."""
+        """``<r> = yield from xf_<ch>(addr, data)`` or, deferred,
+        ``<r> = yield from xf_<ch>_fused(addr, data, t)``."""
         suffix = ", t" if deferred else ""
         expected_src = (f"{result_tmp} = yield from {xf}"
                         f"({addr_name}, {data_name}{suffix})")
@@ -827,7 +833,7 @@ class _Checker:
                 and P.hint_of(call.func.id) != xf:
             raise Refutation(
                 "P804", f"transfer on {plan.bus}.{plan.channel} does "
-                f"not use the planned {plan.mode} tier "
+                f"not call its own transfer binding {xf!r} "
                 f"(found {P.hint_of(call.func.id)!r})",
                 P.line_of(node))
         raise Refutation(
@@ -902,9 +908,42 @@ REPLAY_HINT = ("replay with repro.sim.replay."
                "divergence on the real backends")
 
 
+def _refuted(facts: BehaviorFacts,
+             refutation: Refutation) -> ProcessVerdict:
+    detail = (f"line {refutation.lineno}"
+              if refutation.lineno is not None else None)
+    diagnostic = Diagnostic(
+        code=refutation.code,
+        severity=Severity.ERROR,
+        message=f"{facts.name}: {refutation.message}",
+        location=SourceLocation("behavior", facts.name, detail=detail),
+        hint=REPLAY_HINT,
+    )
+    return ProcessVerdict(
+        behavior=facts.name, status="refuted",
+        reason=f"{refutation.code}: {refutation.message}",
+        diagnostics=(diagnostic,))
+
+
+def _check_tiers(facts: BehaviorFacts,
+                bound: Dict[Tuple[str, str], str]) -> None:
+    """Raise P804 unless every call site's transfer is bound to the
+    tier the validator's own plan gives its channel.  ``bound`` is the
+    program's ``(bus, channel) -> tier`` record for this behavior."""
+    for plan in facts.call_plans.values():
+        tier = bound.get((plan.bus, plan.channel))
+        if tier != plan.mode:
+            raise Refutation(
+                "P804", f"transfer on {plan.bus}.{plan.channel} is "
+                f"bound to the {tier} tier, but the planned tier is "
+                f"{plan.mode}")
+
+
 def validate_behavior(facts: BehaviorFacts,
                       source: str) -> ProcessVerdict:
-    """Validate one behavior's generated source against its facts."""
+    """Validate one behavior's generated source against its facts.
+    The transfer tiers it binds are checked apart
+    (:func:`_check_tiers`): the source is the same for every tier."""
     key = (facts.key, source)
     hit = _CACHE.get(key)
     if hit is not None:
@@ -912,20 +951,7 @@ def validate_behavior(facts: BehaviorFacts,
     try:
         obligations = _Checker(facts).check(source)
     except Refutation as refutation:
-        detail = (f"line {refutation.lineno}"
-                  if refutation.lineno is not None else None)
-        diagnostic = Diagnostic(
-            code=refutation.code,
-            severity=Severity.ERROR,
-            message=f"{facts.name}: {refutation.message}",
-            location=SourceLocation("behavior", facts.name,
-                                    detail=detail),
-            hint=REPLAY_HINT,
-        )
-        verdict = ProcessVerdict(
-            behavior=facts.name, status="refuted",
-            reason=f"{refutation.code}: {refutation.message}",
-            diagnostics=(diagnostic,))
+        verdict = _refuted(facts, refutation)
     else:
         verdict = ProcessVerdict(
             behavior=facts.name, status="validated",
@@ -952,8 +978,15 @@ def validate_program(runtime, program=None) -> ValidationReport:
     for behavior in runtime.spec.behaviors:
         name = behavior.name
         if name in program.sources:
-            report.verdicts[name] = validate_behavior(
-                facts_map[name], program.sources[name])
+            facts = facts_map[name]
+            verdict = validate_behavior(facts, program.sources[name])
+            if verdict.validated:
+                try:
+                    _check_tiers(facts,
+                                program.transfer_tiers.get(name, {}))
+                except Refutation as refutation:
+                    verdict = _refuted(facts, refutation)
+            report.verdicts[name] = verdict
         elif name in program.fallbacks:
             report.verdicts[name] = ProcessVerdict(
                 behavior=name, status="fallback",

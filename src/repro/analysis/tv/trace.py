@@ -131,7 +131,11 @@ class CallPlan:
 
     @property
     def key(self) -> str:
-        return (f"{self.proc_name}:{self.bus}:{self.channel}:{self.mode}"
+        # An arbitrated call's source is the same for every tier (the
+        # tier is checked against the program's bindings instead), so
+        # only a deferred call's tier belongs in the verdict cache key.
+        tier = f":{self.mode}" if self.deferred else ""
+        return (f"{self.proc_name}:{self.bus}:{self.channel}{tier}"
                 f":{self.deferred}:{self.takes_address}:{self.is_write}"
                 f":{self.is_read}:{self.var_name}")
 
@@ -209,6 +213,7 @@ def spec_facts(runtime, analysis: Optional[Analysis] = None,
         )
         for pair in refined_bus.procedures.values():
             mode, _ = plan_channel(sim_bus, pair, analysis.contested,
+                                   analysis.bus_serialized,
                                    runtime.recorder, runtime.trace)
             channel_modes[(sim_bus.name, pair.channel.name)] = mode
             if mode == FUSED and deferrable:

@@ -204,7 +204,9 @@ DIAGNOSTIC_CODES: Dict[str, str] = {
             "iterate or assigned value",
     "P804": "fused-transfer timing mismatch: a deferred-arbitration "
             "transfer does not reproduce the virtual-grant clock "
-            "formula (pending clocks not forwarded or not consumed)",
+            "formula (pending clocks not forwarded or not consumed), "
+            "or a call site's transfer is bound to another tier than "
+            "the planned one",
     "P805": "unproven fallback-eligibility: generated code contains a "
             "construct outside the validated trace algebra, so "
             "equivalence with the interpreter cannot be proven",

@@ -4,9 +4,8 @@
 threads through its components (``simulate(..., metrics=SimMetrics())``):
 
 * :class:`KernelMetrics` hooks :class:`~repro.sim.kernel.Simulator` --
-  delta passes, per-process step counts and, at every clock advance,
-  how long each unfinished process sat blocked on a predicate
-  (handshake wait) versus sleeping on a timer.
+  delta passes, per-process step counts and how long each process sat
+  blocked on a predicate (handshake wait) versus sleeping on a timer.
 * :class:`BusMetrics` hooks :class:`~repro.sim.bus.SimBus` -- completed
   transactions, bus words moved, busy clocks and a handshake-latency
   histogram (whole-message clocks).
@@ -24,7 +23,7 @@ unifies them with the post-hoc transaction statistics of
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 #: Histogram bucket upper bounds, in clocks.
 LATENCY_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
@@ -110,7 +109,7 @@ class Histogram:
 
 
 class _ProcessCounters:
-    __slots__ = ("steps", "blocked_clocks", "timer_clocks")
+    __slots__ = ("steps", "blocked_clocks", "timer_clocks", "since")
 
     def __init__(self) -> None:
         self.steps = 0
@@ -119,10 +118,24 @@ class _ProcessCounters:
         self.blocked_clocks = 0
         #: Clocks spent sleeping on a Wait timer (doing "work").
         self.timer_clocks = 0
+        #: Clock up to which the two counters above are credited: the
+        #: process's last step.
+        self.since = 0
 
 
 class KernelMetrics:
-    """Scheduler-level counters, fed by the simulation kernel."""
+    """Scheduler-level counters, fed by the simulation kernel.
+
+    A process's blocked/timer state only changes when it steps, so the
+    clocks it spends in each state are credited per process at its
+    steps -- the whole interval since its previous step goes to the
+    state it held -- rather than by visiting every process at every
+    clock advance.  The credit still owed to unfinished processes (the
+    stretch since their last step) is added when the run ends, or
+    computed on the fly by :meth:`to_dict` if the run stopped early.
+    Processes must be registered before the run starts (every caller
+    does): one registered later would be credited from clock 0.
+    """
 
     def __init__(self) -> None:
         self.end_clock = 0
@@ -136,6 +149,9 @@ class KernelMetrics:
         self.signal_wakeups = 0
         self.timer_pops = 0
         self._processes: Dict[str, _ProcessCounters] = {}
+        #: The kernel's process list, passed at every clock advance and
+        #: held until the run ends (see :meth:`_owed`).
+        self._roster: Sequence[Any] = ()
 
     def _process(self, name: str) -> _ProcessCounters:
         counters = self._processes.get(name)
@@ -145,27 +161,30 @@ class KernelMetrics:
 
     # -- kernel hooks ------------------------------------------------------
 
-    def on_step(self, name: str) -> None:
+    def on_step(self, process: Any, now: int) -> None:
+        """Called as ``process`` starts a step at clock ``now``, while
+        it still holds the wait state of its previous step."""
         self.steps += 1
-        self._process(name).steps += 1
+        counters = self._process(process.name)
+        counters.steps += 1
+        held = now - counters.since
+        if held:
+            if process.predicate is not None:
+                counters.blocked_clocks += held
+            else:
+                counters.timer_clocks += held
+            counters.since = now
 
     def on_pass(self) -> None:
         self.passes += 1
 
     def on_advance(self, now: int, next_time: int,
-                   processes: Iterable[Any]) -> None:
-        """Called once per clock jump with the kernel's process list."""
-        delta = next_time - now
+                   processes: Sequence[Any]) -> None:
+        """Called once per clock jump with the kernel's process list
+        (kept by reference, not visited)."""
+        self._roster = processes
         self.clock_jumps += 1
         self.end_clock = next_time
-        for process in processes:
-            if process.finished:
-                continue
-            counters = self._process(process.name)
-            if process.predicate is not None:
-                counters.blocked_clocks += delta
-            else:
-                counters.timer_clocks += delta
 
     def on_run_end(self, predicate_evals: int = 0, signal_wakeups: int = 0,
                    timer_pops: int = 0) -> None:
@@ -173,8 +192,41 @@ class KernelMetrics:
         self.predicate_evals = predicate_evals
         self.signal_wakeups = signal_wakeups
         self.timer_pops = timer_pops
+        for name, blocked, held in self._owed():
+            counters = self._process(name)
+            if blocked:
+                counters.blocked_clocks += held
+            else:
+                counters.timer_clocks += held
+        for counters in self._processes.values():
+            counters.since = 0
+        self._roster = ()
+
+    def _owed(self) -> Iterator[Tuple[str, bool, int]]:
+        """``(name, blocked, clocks)`` per unfinished process: the
+        clocks since its last step (up to the last advance), not yet
+        credited to the state it has held since."""
+        for process in self._roster:
+            if process.finished:
+                continue
+            counters = self._processes.get(process.name)
+            held = self.end_clock - (counters.since if counters else 0)
+            if held:
+                yield process.name, process.predicate is not None, held
 
     def to_dict(self) -> Dict[str, Any]:
+        processes = {
+            name: {
+                "steps": c.steps,
+                "blocked_clocks": c.blocked_clocks,
+                "timer_clocks": c.timer_clocks,
+            }
+            for name, c in self._processes.items()
+        }
+        for name, blocked, held in self._owed():
+            row = processes.setdefault(
+                name, {"steps": 0, "blocked_clocks": 0, "timer_clocks": 0})
+            row["blocked_clocks" if blocked else "timer_clocks"] += held
         return {
             "end_clock": self.end_clock,
             "clock_jumps": self.clock_jumps,
@@ -183,14 +235,7 @@ class KernelMetrics:
             "predicate_evals": self.predicate_evals,
             "signal_wakeups": self.signal_wakeups,
             "timer_pops": self.timer_pops,
-            "processes": {
-                name: {
-                    "steps": c.steps,
-                    "blocked_clocks": c.blocked_clocks,
-                    "timer_clocks": c.timer_clocks,
-                }
-                for name, c in sorted(self._processes.items())
-            },
+            "processes": dict(sorted(processes.items())),
         }
 
 

@@ -15,6 +15,16 @@ Two questions decide how aggressively a behavior can be lowered:
   accessors' windows -- so the accessor behaviors stand in for the
   server here.
 
+* **Which served variables does one arbiter serialize?**  A contested
+  served variable is *bus-serialized* when no behavior touches it
+  directly and every ``Call`` that reaches it goes through the same
+  bus.  The arbiter grants that bus for whole messages, so while one
+  transfer on the variable runs no other access to it can start: the
+  variable may be contested (its call sites still flush before
+  ``acquire``), yet when within the granted message the server commits
+  or fetches is unobservable, and the transfer may take the fused tier
+  (see :func:`repro.sim.compiled.transfer.plan_channel`).
+
 * **Which behaviors compile at all?**  Statements or expressions the
   code generator does not know, calls with the wrong shape, and
   references to variables outside the behavior's environment all fall
@@ -62,6 +72,10 @@ class Analysis:
     #: can never block, so fused transfers may fold their caller's
     #: pending batched clocks into the transfer wait.
     uncontended_buses: Set[str] = field(default_factory=set)
+    #: Served variables that only calls through one bus reach and no
+    #: behavior touches directly: that bus's arbiter serializes every
+    #: access, so contention alone does not block the fused tier.
+    bus_serialized: Set[Variable] = field(default_factory=set)
 
 
 def walk_statements(body: Sequence[Stmt]) -> Iterator[Stmt]:
@@ -218,6 +232,7 @@ def analyze_spec(spec, stages: List[List[str]],
     # bus accessors standing in for the variable server they drive.
     observers: Dict[Variable, Set[str]] = {}
     bus_accessors: Dict[str, Set[str]] = {}
+    serving_buses: Dict[Variable, Set[str]] = {}
     for name, touched in touches.items():
         for variable in touched:
             observers.setdefault(variable, set()).add(name)
@@ -227,10 +242,13 @@ def analyze_spec(spec, stages: List[List[str]],
                 entry = proc_map.get(id(stmt.procedure))
                 if entry is not None:
                     sim_bus, pair = entry
-                    observers.setdefault(pair.channel.variable,
+                    variable = pair.channel.variable
+                    observers.setdefault(variable,
                                          set()).add(behavior.name)
                     bus_accessors.setdefault(sim_bus.name,
                                              set()).add(behavior.name)
+                    serving_buses.setdefault(variable,
+                                             set()).add(sim_bus.name)
 
     contested: Set[Variable] = set()
     for variable, names in observers.items():
@@ -244,6 +262,13 @@ def analyze_spec(spec, stages: List[List[str]],
                    for a, b in combinations(sorted(names), 2))
     }
 
+    touched_directly = set().union(*touches.values())
+    bus_serialized = {
+        variable for variable, buses in serving_buses.items()
+        if len(buses) == 1 and variable not in touched_directly
+    }
+
     return Analysis(contested=contested, fallbacks=fallbacks,
                     stage_of=stage_of, touches=touches,
-                    uncontended_buses=uncontended_buses)
+                    uncontended_buses=uncontended_buses,
+                    bus_serialized=bus_serialized)

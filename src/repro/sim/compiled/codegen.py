@@ -76,6 +76,12 @@ class CompiledProgram:
     #: (bus name, channel name) -> (transfer mode, reason).
     channel_modes: Dict[Tuple[str, str], Tuple[str, str]] = field(
         default_factory=dict)
+    #: behavior name -> (bus name, channel name) -> the tier its
+    #: transfer binding was built for.  The generated source names no
+    #: tier, so this record is what the translation validator checks
+    #: against its own plan.
+    transfer_tiers: Dict[str, Dict[Tuple[str, str], str]] = field(
+        default_factory=dict)
     #: behavior name -> translation-validation verdict line
     #: ("validated (N obligations)", "REFUTED (P80x: ...)",
     #: "interpreter fallback"); empty until the validator runs.
@@ -140,13 +146,15 @@ class _BehaviorCompiler:
 
     def __init__(self, runtime, behavior: Behavior, analysis: Analysis,
                  channel_modes: Dict[Tuple[str, str], Tuple[str, str]],
-                 deferred_channels: frozenset):
+                 deferred_channels: frozenset,
+                 tiers: Dict[Tuple[str, str], str]):
         self.runtime = runtime
         self.behavior = behavior
         self.contested = analysis.contested
         self.touched = analysis.touches[behavior.name]
         self.channel_modes = channel_modes
         self.deferred_channels = deferred_channels
+        self.tiers = tiers
         self.lines: List[str] = []
         self.ns: Dict[str, object] = {"W": Wait}
         self._bound: Dict[object, str] = {}
@@ -358,15 +366,15 @@ class _BehaviorCompiler:
         key = id(pair)
         name = self._transfers.get(key)
         if name is None:
-            mode, _ = self.channel_modes[(sim_bus.name,
-                                          pair.channel.name)]
-            storage = self.runtime.storage_for(pair.channel.variable)
-            fn = make_transfer(sim_bus, pair, self.behavior.name, mode,
-                               storage=storage, deferred=deferred)
+            fn = _bind_transfer(self.runtime, sim_bus, pair,
+                                self.behavior.name, deferred,
+                                self.channel_modes, self.tiers)
+            hint = f"xf_{_sanitize(pair.channel.name)}"
+            if deferred:
+                hint += f"_{FUSED}"
             name = self.bind(
-                fn, f"xf_{_sanitize(pair.channel.name)}_{mode}",
-                ("transfer", sim_bus.name, pair.channel.name, mode,
-                 deferred))
+                fn, hint,
+                ("transfer", sim_bus.name, pair.channel.name, deferred))
             self._transfers[key] = name
         return name
 
@@ -375,12 +383,11 @@ class _BehaviorCompiler:
         sim_bus, pair = self.runtime._proc_map[id(stmt.procedure)]
         channel = pair.channel
         procedure = stmt.procedure
-        mode, _ = self.channel_modes[(sim_bus.name, channel.name)]
         deferred = (sim_bus.name, channel.name) in self.deferred_channels
-        note = ", deferred arbitration" if deferred else ""
+        note = " (deferred arbitration)" if deferred else ""
         self.emit(indent,
                   f"# call {procedure.name}: {sim_bus.name}."
-                  f"{channel.name} ({mode}{note})")
+                  f"{channel.name}{note}")
         if not deferred or self._reads_contested(stmt):
             self._flush(indent)
         args = list(stmt.args)
@@ -604,9 +611,11 @@ def _fp_body(body) -> str:
     return ",".join(_fp_stmt(s) for s in body)
 
 
-def _memo_key(runtime, behavior, analysis: Analysis, channel_modes,
+def _memo_key(runtime, behavior, analysis: Analysis,
               deferred_channels) -> tuple:
-    """Everything the emitted text depends on.  ``_scalar_bounds`` and
+    """Everything the emitted text depends on.  Transfer tiers are not
+    part of it: the text calls ``xf_<channel>`` whatever the tier, and
+    :func:`_rebind` binds the current plan's.  ``_scalar_bounds`` and
     ``CHUNK_CLOCKS`` ride along so a monkeypatched codegen (the test
     suite forces unsound elision this way) never shares entries with
     the stock one."""
@@ -628,10 +637,9 @@ def _memo_key(runtime, behavior, analysis: Analysis, channel_modes,
             continue
         sim_bus, pair = entry
         key = (sim_bus.name, pair.channel.name)
-        mode, _ = channel_modes[key]
         proc = stmt.procedure
         calls.append(
-            f"{sim_bus.name}.{pair.channel.name}:{mode}"
+            f"{sim_bus.name}.{pair.channel.name}"
             f":{key in deferred_channels:d}{proc.takes_address:d}"
             f"{pair.channel.is_write:d}{pair.channel.is_read:d}")
     return (_scalar_bounds, CHUNK_CLOCKS,
@@ -644,10 +652,23 @@ _SOURCE_MEMO: Dict[tuple, Tuple[str, tuple, CodeType]] = {}
 _SOURCE_MEMO_LIMIT = 512
 
 
-def _rebind(runtime, behavior, recipe, pair_map,
-            analysis: Analysis) -> Dict[str, object]:
+def _bind_transfer(runtime, sim_bus, pair, initiator: str, deferred: bool,
+                   channel_modes, tiers: Dict[Tuple[str, str], str]):
+    """The transfer coroutine of one call site, built for the tier the
+    current plan gives its channel; records that tier in ``tiers``."""
+    site = (sim_bus.name, pair.channel.name)
+    mode, _ = channel_modes[site]
+    tiers[site] = mode
+    return make_transfer(sim_bus, pair, initiator, mode,
+                         storage=runtime.storage_for(pair.channel.variable),
+                         deferred=deferred)
+
+
+def _rebind(runtime, behavior, recipe, pair_map, analysis: Analysis,
+            channel_modes, tiers) -> Dict[str, object]:
     """Replay a binding recipe against a (new) runtime, producing the
-    namespace a memoized source expects."""
+    namespace a memoized source expects.  Transfers take their tier
+    from ``channel_modes``, the current plan."""
     ns: Dict[str, object] = {"W": Wait}
     varmap = {v.name: v for v in analysis.touches[behavior.name]}
     for name, desc in recipe:
@@ -674,12 +695,11 @@ def _rebind(runtime, behavior, recipe, pair_map,
         elif kind == "release":
             ns[name] = runtime.buses[desc[1]].arbiter.release
         elif kind == "transfer":
-            bus_name, chan_name, mode, deferred = desc[1:]
+            bus_name, chan_name, deferred = desc[1:]
             sim_bus, pair = pair_map[bus_name, chan_name]
-            ns[name] = make_transfer(
-                sim_bus, pair, behavior.name, mode,
-                storage=runtime.storage_for(pair.channel.variable),
-                deferred=deferred)
+            ns[name] = _bind_transfer(runtime, sim_bus, pair,
+                                      behavior.name, deferred,
+                                      channel_modes, tiers)
         else:  # pragma: no cover - descriptors are produced above
             raise KeyError(f"unknown rebind descriptor {kind!r}")
     return ns
@@ -704,8 +724,8 @@ def compile_spec(runtime) -> CompiledProgram:
         for pair in refined_bus.procedures.values():
             pair_map[(sim_bus.name, pair.channel.name)] = (sim_bus, pair)
             mode, reason = plan_channel(
-                sim_bus, pair, analysis.contested, runtime.recorder,
-                runtime.trace)
+                sim_bus, pair, analysis.contested, analysis.bus_serialized,
+                runtime.recorder, runtime.trace)
             program.channel_modes[(sim_bus.name, pair.channel.name)] = \
                 (mode, reason)
             if mode == FUSED and deferrable:
@@ -716,12 +736,14 @@ def compile_spec(runtime) -> CompiledProgram:
         if behavior.name in program.fallbacks:
             continue
         memo_key = _memo_key(runtime, behavior, analysis,
-                             program.channel_modes, deferred_channels)
+                             deferred_channels)
         filename = f"<compiled {spec.name}.{behavior.name}>"
+        tiers: Dict[Tuple[str, str], str] = {}
         cached = _SOURCE_MEMO.get(memo_key)
         if cached is not None:
             source, recipe, code = cached
-            ns = _rebind(runtime, behavior, recipe, pair_map, analysis)
+            ns = _rebind(runtime, behavior, recipe, pair_map, analysis,
+                         program.channel_modes, tiers)
             if code.co_filename != filename:
                 # Same text under another spec name: recompile so
                 # tracebacks name the spec that is running.
@@ -730,7 +752,7 @@ def compile_spec(runtime) -> CompiledProgram:
         else:
             compiler = _BehaviorCompiler(runtime, behavior, analysis,
                                          program.channel_modes,
-                                         deferred_channels)
+                                         deferred_channels, tiers)
             try:
                 source, ns = compiler.compile()
             except CompileFallback as exc:
@@ -747,6 +769,7 @@ def compile_spec(runtime) -> CompiledProgram:
         exec(code, ns)
         program.processes[behavior.name] = ns["run"]  # type: ignore
         program.sources[behavior.name] = source
+        program.transfer_tiers[behavior.name] = tiers
     # Deterministic rendering everywhere the dict is iterated (MANIFEST,
     # run reports, SimResult.fallbacks): sorted by process name.
     program.fallbacks = dict(sorted(program.fallbacks.items()))

@@ -4,8 +4,13 @@ Three tiers, decided per channel at compile time:
 
 * **fused** -- no observer can tell the words apart: no flight
   recorder, no signal tracing, no fault injector on the bus, and no
-  potentially-concurrent process touches the served variable.  The
-  whole message collapses to the storage operation plus a single
+  other access to the served variable can overlap the message.  That
+  holds when no potentially-concurrent process touches the variable,
+  and also when the variable is *bus-serialized*
+  (:attr:`~repro.sim.compiled.analyze.Analysis.bus_serialized`): no
+  behavior touches it directly and every call reaching it goes through
+  this one bus, whose arbiter grants whole messages.  The whole
+  message collapses to the storage operation plus a single
   ``Wait(elapsed)`` with the protocol's structural clock count; the
   variable server never wakes.  Transaction rows, busy clocks and bus
   metrics come out identical to the interpreter's.
@@ -21,6 +26,13 @@ Three tiers, decided per channel at compile time:
   observation, malformed protection plans) delegates to
   :meth:`repro.sim.bus.SimBus.accessor_transfer` unchanged.
 
+The generated behavior source does not name the tier of an arbitrated
+call: it calls ``xf_<channel>``, and the code generator binds that name
+to the tier the current elaboration planned.  Attaching or detaching an
+observer therefore re-binds transfers but reuses the generated source
+and its translation-validation verdict.  Deferred-arbitration calls
+(fused only) keep their own ``xf_<channel>_fused`` form.
+
 Structural elapsed clocks (uncontended, clean run):
 
 ===================  =======================================
@@ -33,7 +45,8 @@ protected handshake  ``2`` per word (timeouts never fire clean)
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List, Optional, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Tuple
+from weakref import WeakKeyDictionary
 
 from repro.errors import SimulationError
 from repro.protogen.procedures import FieldKind, Role
@@ -51,10 +64,13 @@ INTERP = "interp"
 TransferFn = Callable[[Optional[int], Optional[int]], Generator]
 
 
-def plan_channel(sim_bus: SimBus, pair, contested,
+def plan_channel(sim_bus: SimBus, pair, contested, serialized,
                  recorder, trace: bool) -> Tuple[str, str]:
     """Decide a channel's transfer tier -> ``(mode, reason)``.
 
+    ``contested`` and ``serialized`` are the analysis's contested and
+    bus-serialized variable sets: a contested served variable blocks
+    fusion unless this bus's arbiter serializes every access to it.
     ``reason`` explains why the *faster* tier was not available (empty
     for fused).
     """
@@ -65,7 +81,8 @@ def plan_channel(sim_bus: SimBus, pair, contested,
         blockers.append("signal tracing on")
     if sim_bus.injector is not None:
         blockers.append(f"fault injector targets bus {sim_bus.name}")
-    if pair.channel.variable in contested:
+    variable = pair.channel.variable
+    if variable in contested and variable not in serialized:
         blockers.append(
             f"served variable {pair.channel.variable.name!r} is touched "
             "by a potentially-concurrent process")
@@ -114,10 +131,30 @@ def make_transfer(sim_bus: SimBus, pair, initiator: str, mode: str,
     return interp_transfer
 
 
+#: Per-layout memos of :func:`_word_plan` (keyed by width) and
+#: :func:`_packers`.  Layouts are immutable and shared by every call
+#: site and every elaboration of a refined spec; weak keys let a
+#: dropped spec take its entries along.
+_WORD_PLANS: "WeakKeyDictionary[object, Dict[int, tuple]]" = \
+    WeakKeyDictionary()
+_PACKERS: "WeakKeyDictionary[object, tuple]" = WeakKeyDictionary()
+
+
 def _word_plan(layout, width: int):
     """Per-word constant fold of ``_word_parts`` / ``_gather``:
     ``(index, accessor_parts, accessor_mask, server_parts)`` where a
-    part is ``(message_shift, slice_mask, word_shift)``."""
+    part is ``(message_shift, slice_mask, word_shift)``.  Memoized
+    per ``(layout, width)``."""
+    plans = _WORD_PLANS.get(layout)
+    if plans is None:
+        plans = _WORD_PLANS[layout] = {}
+    plan = plans.get(width)
+    if plan is None:
+        plan = plans[width] = _fold_words(layout, width)
+    return plan
+
+
+def _fold_words(layout, width: int) -> tuple:
     plan = []
     for word in layout.words(width):
         acc = []
@@ -138,7 +175,15 @@ def _word_plan(layout, width: int):
 
 def _packers(layout):
     """Straight-line equivalents of ``layout.pack`` for unprotected
-    layouts (and of the fused read/write field constants)."""
+    layouts (and of the fused read/write field constants).  Memoized
+    per layout."""
+    packers = _PACKERS.get(layout)
+    if packers is None:
+        packers = _PACKERS[layout] = _make_packers(layout)
+    return packers
+
+
+def _make_packers(layout) -> tuple:
     addr_field = layout.field(FieldKind.ADDRESS)
     data_field = layout.field(FieldKind.DATA)
     assert data_field is not None

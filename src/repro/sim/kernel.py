@@ -579,7 +579,7 @@ class Simulator:
     def _step(self, process: _Process) -> None:
         """Advance one process to its next wait request."""
         if self._metrics is not None:
-            self._metrics.on_step(process.name)
+            self._metrics.on_step(process, self._now)
         if process.start_time is None:
             process.start_time = self._now
         process.delta = False

@@ -30,8 +30,19 @@ from repro.analysis.tv.mutations import DEFECTS, check_defect
 from repro.errors import SimulationError
 from repro.partition.channels import default_bus_groups, extract_channels
 from repro.partition.partitioner import Partition
-from repro.protocols import FIXED_DELAY, FULL_HANDSHAKE, HALF_HANDSHAKE
-from repro.protogen.refine import generate_protocol
+from repro.apps.contended import (
+    ARBITRATIONS,
+    arbiter_factories,
+    build_contended,
+    reference_state,
+)
+from repro.protocols import (
+    BURST_HANDSHAKE,
+    FIXED_DELAY,
+    FULL_HANDSHAKE,
+    HALF_HANDSHAKE,
+)
+from repro.protogen.refine import generate_protocol, refine_system
 from repro.sim.runtime import BACKENDS, RefinedSimulation, simulate
 from repro.spec.behavior import Behavior
 from repro.spec.expr import BinOp, Index, Ref
@@ -480,3 +491,156 @@ class TestCompileCache:
         spec, schedule = defect.build()
         _assert_results_agree(
             simulate(spec, schedule=schedule, backend="interp"), compiled)
+
+
+# ---------------------------------------------------------------------------
+# Contended buses: one arbiter serializes every access to the served
+# variables, so their transfers take the fused tier
+
+
+CONTENDED_PROTOCOLS = {
+    "full": (FULL_HANDSHAKE, None),
+    "half": (HALF_HANDSHAKE, None),
+    "burst": (BURST_HANDSHAKE, None),
+    "parity": (FULL_HANDSHAKE, "parity"),
+}
+CONTENDED_N, CONTENDED_M = 12, 3
+
+
+def _contended(protocol="full"):
+    model = build_contended(CONTENDED_N, CONTENDED_M)
+    proto, protection = CONTENDED_PROTOCOLS[protocol]
+    return model, generate_protocol(model.system, model.bus, width=8,
+                                    protocol=proto, protection=protection)
+
+
+@pytest.mark.parametrize("protocol", sorted(CONTENDED_PROTOCOLS))
+@pytest.mark.parametrize("policy", ARBITRATIONS)
+def test_contended_bus_fuses_and_agrees(policy, protocol):
+    model, refined = _contended(protocol)
+    factories = arbiter_factories(policy, model.bus.name)
+    sim = RefinedSimulation(refined, backend="compiled",
+                            arbiter_factories=factories)
+    program = sim.compiled
+    assert program.fallbacks == {}
+    assert {mode for mode, _ in program.channel_modes.values()} \
+        == {"fused"}
+    assert {tier for tiers in program.transfer_tiers.values()
+            for tier in tiers.values()} == {"fused"}
+    compiled = sim.run()
+    interp = simulate(refined, backend="interp",
+                      arbiter_factories=factories)
+    _assert_results_agree(interp, compiled)
+    assert interp.arbitration_wait[model.bus.name] > 0  # really contended
+    for name, values in reference_state(CONTENDED_N,
+                                        CONTENDED_M).items():
+        assert compiled.final_values[name] == values
+
+
+def _served_channels(refined, variable_name):
+    return {pair.channel.name for bus in refined.buses
+            for pair in bus.procedures.values()
+            if pair.channel.variable.name == variable_name}
+
+
+def test_directly_touched_served_variable_stays_specialized():
+    """A behavior on the memory module reads ``MEM`` without the bus:
+    the arbiter no longer covers every access, so ``MEM`` transfers
+    keep word-exact timing while ``ACC`` (bus-only) still fuses."""
+    model = build_contended(6, 2)
+    variables = {v.name: v for v in model.system.variables}
+    mem = variables["MEM"]
+    snap = Variable("SNAP", IntType(16))
+    snoop = Behavior("SNOOP", [WaitClocks(5), Assign(snap, Index(mem, 0)),
+                               WaitClocks(7), Assign(snap, Index(mem, 3))])
+    system = SystemSpec("snooped", list(model.system.behaviors) + [snoop],
+                        list(model.system.variables) + [snap])
+    partition = Partition(system)
+    chip = partition.add_module("chip")
+    memory = partition.add_module("memory")
+    for behavior in model.system.behaviors:
+        partition.assign(behavior, chip)
+    partition.assign(snoop, memory)
+    for variable in system.variables:
+        partition.assign(variable, memory)
+    refined = generate_protocol(system, default_bus_groups(partition)[0],
+                                width=8)
+    sim = RefinedSimulation(refined, backend="compiled")
+    modes = sim.compiled.channel_modes
+    for (_, channel), (mode, reason) in modes.items():
+        if channel in _served_channels(refined, "MEM"):
+            assert mode == "specialized"
+            assert "potentially-concurrent" in reason
+        else:
+            assert mode == "fused"
+    _assert_results_agree(simulate(refined, backend="interp"), sim.run())
+
+
+def test_variable_served_through_two_buses_stays_specialized():
+    """Initiators on two chips reach ``MEM`` over two buses: two
+    arbiters, so transfers on one may overlap transfers on the other."""
+    model = build_contended(6, 2)
+    partition = Partition(model.system)
+    left = partition.add_module("left")
+    right = partition.add_module("right")
+    memory = partition.add_module("memory")
+    for index, behavior in enumerate(model.system.behaviors):
+        partition.assign(behavior, left if index % 2 else right)
+    for variable in model.system.variables:
+        partition.assign(variable, memory)
+    groups = default_bus_groups(partition)
+    assert len(groups) == 2
+    refined = refine_system(model.system, [(group, 8) for group in groups])
+    sim = RefinedSimulation(refined, backend="compiled")
+    assert "MEM" not in {v.name for v in sim.compiled.analysis.bus_serialized}
+    mem_channels = _served_channels(refined, "MEM")
+    for (_, channel), (mode, _) in sim.compiled.channel_modes.items():
+        if channel in mem_channels:
+            assert mode == "specialized"
+    _assert_results_agree(simulate(refined, backend="interp"), sim.run())
+
+
+def test_recorder_after_detached_run_rebinds_without_recompiling(
+        monkeypatch):
+    """The generated source names no tier: attaching a flight recorder
+    (which forces the specialized tier) re-binds the transfers but
+    reuses the memoized source and its cached verdict."""
+    from repro.analysis.tv import checker
+    from repro.obs.flight import FlightRecorder
+    from repro.sim.compiled import codegen
+
+    model, refined = _contended("half")
+    factories = arbiter_factories("rr", model.bus.name)
+    detached = RefinedSimulation(refined, backend="compiled",
+                                 arbiter_factories=factories)
+    recorder = FlightRecorder()
+    memo = set(codegen._SOURCE_MEMO)
+    proofs = []
+    real_check = checker._Checker.check
+
+    def counting_check(self, source):
+        proofs.append(self.facts.name)
+        return real_check(self, source)
+
+    monkeypatch.setattr(checker._Checker, "check", counting_check)
+    observed = RefinedSimulation(refined, backend="compiled",
+                                 arbiter_factories=factories,
+                                 recorder=recorder)
+    assert set(codegen._SOURCE_MEMO) <= memo
+    assert proofs == []
+    program = observed.compiled
+    assert program.fallbacks == {}
+    for name, source in program.sources.items():
+        assert source is detached.compiled.sources[name]
+        assert set(program.transfer_tiers[name].values()) \
+            == {"specialized"}
+    assert {mode for mode, _ in program.channel_modes.values()} \
+        == {"specialized"}
+    reference = FlightRecorder()
+    _assert_results_agree(
+        simulate(refined, backend="interp", arbiter_factories=factories,
+                 recorder=reference),
+        observed.run())
+    # The re-bound transfers journal every word like the interpreter's.
+    assert [e.to_dict() for e in recorder.events] \
+        == [e.to_dict() for e in reference.events]

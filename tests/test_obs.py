@@ -19,10 +19,12 @@ from repro.obs.simmetrics import (
     SimMetrics,
 )
 from repro.obs.tracer import NULL_SPAN, active_tracer
+from repro.errors import SimulationError
 from repro.protogen.refine import generate_protocol
 from repro.sim.runtime import simulate
 from repro.sim.signals import Signal
 from repro.sim.trace import write_vcd
+from tests import golden_util
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +151,90 @@ class TestKernelMetricsUnit:
         assert payload["processes"]["waiter"]["timer_clocks"] == 0
         assert payload["processes"]["sleeper"]["timer_clocks"] == 8
         assert "done" not in payload["processes"]
+
+
+class _FoldedKernelMetrics(KernelMetrics):
+    """The per-step accounting beside the fold it replaced: at every
+    clock advance, visit every process and credit the jump to the state
+    it is in."""
+
+    def __init__(self):
+        super().__init__()
+        self.fold = {}
+
+    def _row(self, name):
+        return self.fold.setdefault(
+            name, {"steps": 0, "blocked_clocks": 0, "timer_clocks": 0})
+
+    def on_step(self, process, now):
+        super().on_step(process, now)
+        self._row(process.name)["steps"] += 1
+
+    def on_advance(self, now, next_time, processes):
+        super().on_advance(now, next_time, processes)
+        for process in processes:
+            if not process.finished:
+                state = ("blocked_clocks" if process.predicate is not None
+                         else "timer_clocks")
+                self._row(process.name)[state] += next_time - now
+
+
+def _folded_metrics():
+    metrics = SimMetrics()
+    metrics.kernel = _FoldedKernelMetrics()
+    return metrics
+
+
+def _assert_matches_fold(kernel):
+    assert kernel.to_dict()["processes"] == dict(sorted(kernel.fold.items()))
+
+
+class TestKernelAccountingMatchesFold:
+    @pytest.mark.parametrize(
+        "slug", golden_util.GOLDEN_SYSTEMS
+        + tuple(sorted(golden_util.GOLDEN_VARIANTS)))
+    def test_every_golden_run(self, slug, monkeypatch):
+        made = []
+
+        def factory():
+            made.append(_folded_metrics())
+            return made[-1]
+
+        monkeypatch.setattr(golden_util, "SimMetrics", factory)
+        if slug in golden_util.GOLDEN_VARIANTS:
+            record = golden_util.capture_variant(slug)
+        else:
+            record = golden_util.capture_system(slug)
+        (metrics,) = made
+        _assert_matches_fold(metrics.kernel)
+        assert record["kernel"] == golden_util.load_golden(slug)["kernel"]
+
+    @pytest.mark.parametrize("backend", ["interp", "compiled"])
+    @pytest.mark.parametrize("initiators", [4, 16, 64])
+    def test_contended_ladder(self, initiators, backend):
+        from repro.apps.contended import arbiter_factories, build_contended
+
+        model = build_contended(initiators, 2)
+        refined = generate_protocol(model.system, model.bus, width=8)
+        metrics = _folded_metrics()
+        simulate(refined, metrics=metrics, backend=backend,
+                 arbiter_factories=arbiter_factories("rr", model.bus.name))
+        _assert_matches_fold(metrics.kernel)
+        assert any(row["blocked_clocks"]
+                   for row in metrics.kernel.fold.values())
+
+    def test_run_stopped_early(self):
+        """No ``on_run_end``: the credit owed since each unfinished
+        process's last step is computed on the fly."""
+        from repro.apps.contended import build_contended
+
+        model = build_contended(8, 2)
+        refined = generate_protocol(model.system, model.bus, width=8)
+        metrics = _folded_metrics()
+        with pytest.raises(SimulationError, match="max_clocks"):
+            simulate(refined, metrics=metrics, max_clocks=40)
+        _assert_matches_fold(metrics.kernel)
+        assert metrics.kernel.end_clock == 40
 
 
 class TestArbiterMetricsUnit:

@@ -212,6 +212,39 @@ def test_gate_demotes_refuted_process_and_stays_correct():
     assert ungated.final_values != interp.final_values
 
 
+# ---------------------------------------------------------------------------
+# Transfer tiers: the source names none, so the bindings are checked
+
+
+def _contended_sim(**kwargs):
+    from repro.apps.contended import arbiter_factories, build_contended
+
+    model = build_contended(6, 2)
+    refined = generate_protocol(model.system, model.bus, width=8)
+    return RefinedSimulation(
+        refined, backend="compiled",
+        arbiter_factories=arbiter_factories("priority", model.bus.name),
+        **kwargs)
+
+
+def test_binding_patched_away_from_its_plan_is_refuted_p804():
+    sim = _contended_sim(validate_compiled=False)
+    for source in sim.compiled.sources.values():
+        assert "_xf_" in source and "_fused(" not in source
+    tiers = sim.compiled.transfer_tiers
+    victim = sorted(tiers)[0]
+    site = sorted(tiers[victim])[0]
+    assert tiers[victim][site] == "fused"
+    tiers[victim][site] = "specialized"
+    report = checker.validate_program(sim)
+    assert [v.behavior for v in report.refutations()] == [victim]
+    assert {d.code for d in report.diagnostics()} == {"P804"}
+    assert "bound to the specialized tier" in report.verdicts[victim].reason
+    # The source itself is sound: the cached verdict was not poisoned.
+    tiers[victim][site] = "fused"
+    assert checker.validate_program(sim).all_validated
+
+
 def test_fallbacks_are_deterministically_sorted():
     defect = next(d for d in DEFECTS if d.name == "misfolded_constant")
     spec, schedule = defect.build()

@@ -2,7 +2,9 @@
 """Trust gate for the compiled simulation backend.
 
 Three checks, in increasing order of paranoia, over every built-in
-system at every protection level:
+system at every protection level -- plus a contended many-initiator
+system (:mod:`repro.apps.contended`) under every arbitration policy,
+where the arbiter alone serializes access to the served variables:
 
 1. **Proof**: the translation validator (:mod:`repro.analysis.tv`)
    must discharge every obligation of every lowered process -- no
@@ -31,11 +33,16 @@ import sys
 
 from repro.analysis.tv import validate_refined
 from repro.analysis.tv.mutations import check_corpus
+from repro.apps.contended import (
+    ARBITRATIONS,
+    arbiter_factories,
+    build_contended,
+)
 from repro.busgen.algorithm import generate_bus
 from repro.protogen.refine import refine_system
 from repro.sim.runtime import simulate
 
-SYSTEMS = ("flc", "answering-machine", "ethernet")
+SYSTEMS = ("flc", "answering-machine", "ethernet", "contended")
 PROTECTIONS = (None, "parity", "crc8")
 
 
@@ -55,6 +62,9 @@ def _build(name: str):
 
         model = build_ethernet()
         return model.system, model.bus, model.schedule
+    if name == "contended":
+        model = build_contended()
+        return model.system, model.bus, None
     raise SystemExit(f"unknown system {name!r}; choose from {SYSTEMS}")
 
 
@@ -72,45 +82,62 @@ def _agreement_failures(interp, compiled):
     return [name for name, (want, got) in checks.items() if want != got]
 
 
+def _arbitrations(name: str, bus: str):
+    """``(label, arbiter_factories)`` per arbitration policy a system
+    is checked under: the runtime default, or every policy on the
+    contended system."""
+    if name != "contended":
+        return [("", None)]
+    return [(f" arb={policy:<8}", arbiter_factories(policy, bus))
+            for policy in ARBITRATIONS]
+
+
 def check_system(name: str) -> int:
     """Proof + agreement for one system; returns failure count."""
     failures = 0
     system, group, schedule = _build(name)
+    # Every contended initiator starts at clock 0, so no width meets
+    # the rate demand bus generation asks for: fix the width instead.
+    plan = (group, 8) if name == "contended" else generate_bus(group)
     for protection in PROTECTIONS:
-        label = f"{name:<18} protection={protection or 'none':<6}"
-        design = generate_bus(group)
-        refined = refine_system(system, [design], protection=protection)
-
-        report = validate_refined(refined, schedule=schedule)
-        refuted = [n for n, v in report.verdicts.items() if v.refuted]
-        demoted = [n for n, v in report.verdicts.items()
-                   if v.status == "fallback"]
-        if refuted or demoted or report.diagnostics():
-            failures += 1
-            print(f"FAIL {label} refuted={refuted} fallback={demoted} "
-                  f"diagnostics={len(report.diagnostics())}")
-            for diag in report.diagnostics():
-                print(f"     {diag.code}: {diag.message}")
-            continue
-
-        interp = simulate(refined, schedule=schedule, backend="interp")
-        compiled = simulate(refined, schedule=schedule,
-                            backend="compiled")
-        if compiled.fallbacks:
-            failures += 1
-            print(f"FAIL {label} unexpected fallbacks: "
-                  f"{compiled.fallbacks}")
-            continue
-        mismatched = _agreement_failures(interp, compiled)
-        if mismatched:
-            failures += 1
-            print(f"FAIL {label} backends disagree on "
-                  f"{', '.join(mismatched)}")
-            continue
-        obligations = sum(v.obligations for v in report.verdicts.values())
-        print(f"ok   {label} processes={len(report.verdicts):>2} "
-              f"obligations={obligations:>4} backends agree")
+        refined = refine_system(system, [plan], protection=protection)
+        for arbitration, factories in _arbitrations(name, group.name):
+            label = (f"{name:<18} protection={protection or 'none':<6}"
+                     f"{arbitration}")
+            failures += _check_build(label, refined, schedule, factories)
     return failures
+
+
+def _check_build(label: str, refined, schedule, factories) -> int:
+    """Proof + agreement for one refined build; 1 on failure."""
+    report = validate_refined(refined, schedule=schedule,
+                              arbiter_factories=factories)
+    refuted = [n for n, v in report.verdicts.items() if v.refuted]
+    demoted = [n for n, v in report.verdicts.items()
+               if v.status == "fallback"]
+    if refuted or demoted or report.diagnostics():
+        print(f"FAIL {label} refuted={refuted} fallback={demoted} "
+              f"diagnostics={len(report.diagnostics())}")
+        for diag in report.diagnostics():
+            print(f"     {diag.code}: {diag.message}")
+        return 1
+
+    interp = simulate(refined, schedule=schedule, backend="interp",
+                      arbiter_factories=factories)
+    compiled = simulate(refined, schedule=schedule, backend="compiled",
+                        arbiter_factories=factories)
+    if compiled.fallbacks:
+        print(f"FAIL {label} unexpected fallbacks: {compiled.fallbacks}")
+        return 1
+    mismatched = _agreement_failures(interp, compiled)
+    if mismatched:
+        print(f"FAIL {label} backends disagree on "
+              f"{', '.join(mismatched)}")
+        return 1
+    obligations = sum(v.obligations for v in report.verdicts.values())
+    print(f"ok   {label} processes={len(report.verdicts):>2} "
+          f"obligations={obligations:>4} backends agree")
+    return 0
 
 
 def check_mutations() -> int:
