@@ -138,11 +138,13 @@ def _finite_range(value: Optional[AbsVal]) -> Optional[Tuple[int, int]]:
 
 
 def _init_absval(variable: Variable) -> AbsVal:
-    """Abstract initial value (array = join of element initializers)."""
+    """Abstract initial value (array = join of element initializers).
+    Each distinct element value is joined once, in first-occurrence
+    order: joining a value already joined changes nothing."""
     initial = variable.initial_value()
     if isinstance(initial, list):
         out = AbsVal.bottom()
-        for element in initial:
+        for element in dict.fromkeys(initial):
             out = out.join(AbsVal.const(element))
         return out
     return AbsVal.const(initial)
@@ -698,8 +700,10 @@ def analyze_refined_values(spec, max_passes: int = MAX_GLOBAL_PASSES,
     channel traffic (procedure calls) flows data through the served
     variables exactly like direct accesses would.
     """
-    store = {variable: _init_absval(variable)
-             for variable in spec.original.variables}
+    with obs_span("absint.seed_store", system=spec.name,
+                  variables=len(spec.original.variables)):
+        store = {variable: _init_absval(variable)
+                 for variable in spec.original.variables}
     return analyze_behaviors(spec.behaviors, store=store,
                              max_passes=max_passes, system=spec.name)
 

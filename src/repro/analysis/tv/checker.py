@@ -63,6 +63,7 @@ from repro.analysis.tv.trace import (
 )
 from repro.errors import AnalysisError
 from repro.sim.compiled.codegen import CHUNK_CLOCKS
+from repro.sim.compiled.reuse import SpecMemo
 from repro.spec.stmt import (
     Assign,
     Call,
@@ -717,6 +718,19 @@ class _Checker:
         low = ExprLowerer(self.facts)
         lineno = P.line_of(cur.peek()) if cur.peek() is not None \
             else None
+        # The arbitration form is settled before the clock it needs: a
+        # deferred transfer where the plan arbitrates is an eligibility
+        # defect, whatever the pending batch.  The transfer follows the
+        # address (2 statements) and data (1) blocks.
+        at = cur.index + 2 * plan.takes_address + plan.is_write
+        if not plan.deferred and at < len(cur.stmts) \
+                and self._is_deferred_transfer(cur.stmts[at]):
+            raise Refutation(
+                "P804", f"{plan.bus}.{plan.channel} uses the "
+                "deferred-arbitration form but eligibility "
+                "(immediate arbiter + schedule-ordered accessors "
+                "+ fused tier) cannot be re-proven",
+                P.line_of(cur.stmts[at]))
         if not plan.deferred or reads_contested(stmt, self.facts):
             self.require_exact_clock(
                 f"transfer on {plan.bus}.{plan.channel}", lineno)
@@ -746,13 +760,6 @@ class _Checker:
             xf += f"_{plan.mode}"
         node = cur.next(f"the {plan.proc_name} transfer")
         if self._is_deferred_transfer(node):
-            if not plan.deferred:
-                raise Refutation(
-                    "P804", f"{plan.bus}.{plan.channel} uses the "
-                    "deferred-arbitration form but eligibility "
-                    "(immediate arbiter + schedule-ordered accessors "
-                    "+ fused tier) cannot be re-proven",
-                    P.line_of(node))
             self._match_transfer_call(
                 node, xf, addr_name, data_name, result_tmp,
                 deferred=True, plan=plan)
@@ -962,6 +969,55 @@ def validate_behavior(facts: BehaviorFacts,
     return verdict
 
 
+#: spec -> facts key -> behavior name -> :class:`BehaviorFacts`: the
+#: validator's own reuse across elaborations of one spec.
+_FACTS = SpecMemo(limit=4)
+
+
+def _facts_key(runtime, program) -> tuple:
+    """The validator's own copy of the elaboration key: every runtime
+    input its channel plan reads, restated here so a code-generator key
+    that missed one (say, the recorder) cannot also blind the facts the
+    generated code is judged against.  The IR half is the
+    elaboration's one walk, carried on the program."""
+    buses = []
+    for refined_bus in runtime.spec.buses:
+        sim_bus = runtime.buses[refined_bus.name]
+        buses.append((
+            refined_bus.name, type(sim_bus.arbiter),
+            sim_bus.injector is not None, id(sim_bus.protection),
+            sim_bus.uses_handshake, sim_bus.uses_burst,
+            tuple((id(pair), id(pair.accessor), id(pair.channel.variable))
+                  for pair in refined_bus.procedures.values())))
+    return (tuple(map(tuple, runtime._stages)), tuple(buses),
+            tuple(map(id, runtime.spec.original.variables)),
+            runtime.recorder is not None, bool(runtime.trace),
+            tuple(program.fingerprints.items()),
+            tuple(map(id, program.refs)))
+
+
+def _program_facts(runtime, program) -> Dict[str, BehaviorFacts]:
+    """The facts every behavior of ``program`` is judged against,
+    re-planned only when :func:`_facts_key` changes."""
+    spec = runtime.spec
+    key = _facts_key(runtime, program)
+    entry = _FACTS.get(spec, key)
+    if entry is None:
+        _, facts_map = spec_facts(
+            runtime, analysis=getattr(program, "analysis", None),
+            fingerprints=program.fingerprints)
+        # The facts hold the behaviors and variables themselves; the
+        # buses' objects named by id ride along so no id is recycled.
+        held = [(pair, pair.accessor, pair.channel.variable,
+                 refined_bus.structure.protection)
+                for refined_bus in spec.buses
+                for pair in refined_bus.procedures.values()]
+        entry = (facts_map, list(program.refs), held,
+                 list(spec.original.variables))
+        _FACTS.put(spec, key, entry)
+    return entry[0]
+
+
 def validate_program(runtime, program=None) -> ValidationReport:
     """Validate every compiled process of an elaborated
     :class:`~repro.sim.runtime.RefinedSimulation`."""
@@ -971,8 +1027,7 @@ def validate_program(runtime, program=None) -> ValidationReport:
         raise AnalysisError(
             "translation validation needs a compiled program; "
             "elaborate with backend='compiled'")
-    _, facts_map = spec_facts(
-        runtime, analysis=getattr(program, "analysis", None))
+    facts_map = _program_facts(runtime, program)
     report = ValidationReport(system=runtime.spec.name,
                               stages=[list(s) for s in runtime._stages])
     for behavior in runtime.spec.behaviors:

@@ -38,6 +38,7 @@ from repro.sim.compiled.analyze import (
     analyze_spec,
     walk_statements,
 )
+from repro.sim.compiled.reuse import ir_fingerprint
 from repro.sim.compiled.transfer import FUSED, plan_channel
 from repro.spec.behavior import Behavior
 from repro.spec.expr import BinOp, Const, Environment, Expr, Index, Ref, UnOp
@@ -47,9 +48,7 @@ from repro.spec.stmt import (
     ElementTarget,
     For,
     If,
-    Nop,
     Stmt,
-    WaitClocks,
     While,
 )
 from repro.spec.types import ArrayType, IntType
@@ -145,7 +144,8 @@ class BehaviorFacts:
     behavior's generated source, plus a stable memoization key."""
 
     def __init__(self, behavior: Behavior, variables: Dict[str, VarInfo],
-                 contested: Set[str], call_plans: Dict[int, "CallPlan"]):
+                 contested: Set[str], call_plans: Dict[int, "CallPlan"],
+                 fingerprint: Optional[str] = None):
         self.behavior = behavior
         self.name = behavior.name
         self.variables = variables
@@ -157,9 +157,10 @@ class BehaviorFacts:
             if isinstance(stmt, Call)
             and id(stmt.procedure) in call_plans)
         infos = ";".join(v.key for _, v in sorted(variables.items()))
+        if fingerprint is None:
+            fingerprint = ir_fingerprint(behavior)
         self.key = (f"{behavior.name}|{infos}|"
-                    f"{','.join(sorted(contested))}|{plans}|"
-                    f"{ir_fingerprint(behavior)}")
+                    f"{','.join(sorted(contested))}|{plans}|{fingerprint}")
 
     def info(self, variable: Variable) -> VarInfo:
         return self.variables[variable.name]
@@ -188,6 +189,7 @@ def _var_info(variable: Variable, contested: Set[Variable],
 
 
 def spec_facts(runtime, analysis: Optional[Analysis] = None,
+               fingerprints: Optional[Dict[str, str]] = None,
                ) -> Tuple[Analysis, Dict[str, "BehaviorFacts"]]:
     """Recompute the elaboration facts for every behavior of an
     elaborated :class:`~repro.sim.runtime.RefinedSimulation`.
@@ -197,7 +199,9 @@ def spec_facts(runtime, analysis: Optional[Analysis] = None,
     *generated code* against these facts.  ``analysis`` accepts the
     compile-time :func:`analyze_spec` result to skip recomputing it --
     a pure function of the same spec, so reuse changes nothing the
-    validator concludes, only how fast it concludes it.
+    validator concludes, only how fast it concludes it.  Likewise
+    ``fingerprints`` (behavior name -> IR fingerprint) takes the
+    elaboration's one IR walk instead of walking every body again.
     """
     spec = runtime.spec
     if analysis is None:
@@ -251,70 +255,9 @@ def spec_facts(runtime, analysis: Optional[Analysis] = None,
             )
         out[behavior.name] = BehaviorFacts(
             behavior, variables,
-            {v.name for v in analysis.contested}, call_plans)
+            {v.name for v in analysis.contested}, call_plans,
+            fingerprint=(fingerprints or {}).get(behavior.name))
     return analysis, out
-
-
-# ----------------------------------------------------------------------
-# IR fingerprint (cache key component)
-# ----------------------------------------------------------------------
-
-def expr_fingerprint(expr: Expr) -> str:
-    if isinstance(expr, Const):
-        return f"C{expr.value}"
-    if isinstance(expr, Ref):
-        return f"R({expr.variable.name})"
-    if isinstance(expr, Index):
-        return f"X({expr.variable.name},{expr_fingerprint(expr.index)})"
-    if isinstance(expr, BinOp):
-        return (f"B({expr.op},{expr_fingerprint(expr.lhs)},"
-                f"{expr_fingerprint(expr.rhs)})")
-    if isinstance(expr, UnOp):
-        return f"U({expr.op},{expr_fingerprint(expr.operand)})"
-    return f"?{type(expr).__name__}"
-
-
-def _target_fingerprint(target) -> str:
-    index = target.index_expr()
-    if index is None:
-        return target.variable.name
-    return f"{target.variable.name}[{expr_fingerprint(index)}]"
-
-
-def _stmt_fingerprint(stmt: Stmt) -> str:
-    if isinstance(stmt, Assign):
-        return (f"A({_target_fingerprint(stmt.target)},"
-                f"{expr_fingerprint(stmt.expr)})")
-    if isinstance(stmt, If):
-        return (f"I({expr_fingerprint(stmt.cond)},"
-                f"[{_body_fingerprint(stmt.then_body)}],"
-                f"[{_body_fingerprint(stmt.else_body)}])")
-    if isinstance(stmt, For):
-        return (f"F({stmt.var.name},{stmt.lo},{stmt.hi},"
-                f"[{_body_fingerprint(stmt.body)}])")
-    if isinstance(stmt, While):
-        return (f"W({expr_fingerprint(stmt.cond)},"
-                f"[{_body_fingerprint(stmt.body)}])")
-    if isinstance(stmt, WaitClocks):
-        return f"T{stmt.clocks}"
-    if isinstance(stmt, Call):
-        name = getattr(stmt.procedure, "name", "?")
-        args = ",".join(expr_fingerprint(a) for a in stmt.args)
-        results = ",".join(_target_fingerprint(r) for r in stmt.results)
-        return f"K({name},[{args}],[{results}])"
-    if isinstance(stmt, Nop):
-        return "N"
-    return f"?{type(stmt).__name__}"
-
-
-def _body_fingerprint(body) -> str:
-    return ",".join(_stmt_fingerprint(s) for s in body)
-
-
-def ir_fingerprint(behavior: Behavior) -> str:
-    """Stable serialization of a behavior body: two behaviors with the
-    same fingerprint (and facts) have identical validation outcomes."""
-    return _body_fingerprint(behavior.body)
 
 
 # ----------------------------------------------------------------------

@@ -76,6 +76,9 @@ class Analysis:
     #: behavior touches directly: that bus's arbiter serializes every
     #: access, so contention alone does not block the fused tier.
     bus_serialized: Set[Variable] = field(default_factory=set)
+    #: behavior name -> its locals and loop variables, sorted by name:
+    #: what a compiled process declares in the environment at start.
+    declared: Dict[str, List[Variable]] = field(default_factory=dict)
 
 
 def walk_statements(body: Sequence[Stmt]) -> Iterator[Stmt]:
@@ -219,11 +222,14 @@ def analyze_spec(spec, stages: List[List[str]],
 
     touches: Dict[str, Set[Variable]] = {}
     fallbacks: Dict[str, str] = {}
+    declared_locals: Dict[str, List[Variable]] = {}
     original = set(spec.original.variables)
     for behavior in spec.behaviors:
         touched = direct_touches(behavior)
         touches[behavior.name] = touched
-        declared = original | set(behavior.declared_variables())
+        own = behavior.declared_variables()
+        declared_locals[behavior.name] = sorted(own, key=lambda v: v.name)
+        declared = original | own
         reason = _behavior_reason(behavior, declared, proc_map, touched)
         if reason:
             fallbacks[behavior.name] = reason
@@ -271,4 +277,5 @@ def analyze_spec(spec, stages: List[List[str]],
     return Analysis(contested=contested, fallbacks=fallbacks,
                     stage_of=stage_of, touches=touches,
                     uncontended_buses=uncontended_buses,
-                    bus_serialized=bus_serialized)
+                    bus_serialized=bus_serialized,
+                    declared=declared_locals)

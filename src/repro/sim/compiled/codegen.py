@@ -38,10 +38,10 @@ from repro.sim.compiled.analyze import (
     walk_statements,
 )
 from repro.sim.compiled.exprgen import CompileFallback, compile_expr
+from repro.sim.compiled.reuse import SpecMemo, spec_walk
 from repro.sim.compiled.transfer import FUSED, make_transfer, plan_channel
 from repro.sim.kernel import Wait
 from repro.spec.behavior import Behavior
-from repro.spec.expr import BinOp, Const, Index, Ref, UnOp
 from repro.spec.stmt import (
     Assign,
     Call,
@@ -92,6 +92,13 @@ class CompiledProgram:
     #: independence lives in re-deriving per-variable/per-call facts
     #: and the trace semantics, not in repeating this pure function).
     analysis: object = None
+    #: behavior name -> IR fingerprint, from this elaboration's one
+    #: walk of the spec (:func:`~repro.sim.compiled.reuse.spec_walk`);
+    #: the validator keys its facts on it instead of walking again.
+    fingerprints: Dict[str, str] = field(default_factory=dict)
+    #: every behavior, local, variable and procedure that walk met, in
+    #: walk order: the identity half of the reuse keys.
+    refs: List[object] = field(default_factory=list)
 
     @property
     def compiled_count(self) -> int:
@@ -145,39 +152,34 @@ class _BehaviorCompiler:
     """Lowers one behavior body to a ``run()`` generator source."""
 
     def __init__(self, runtime, behavior: Behavior, analysis: Analysis,
-                 channel_modes: Dict[Tuple[str, str], Tuple[str, str]],
-                 deferred_channels: frozenset,
-                 tiers: Dict[Tuple[str, str], str]):
+                 deferred_channels: frozenset):
         self.runtime = runtime
         self.behavior = behavior
         self.contested = analysis.contested
         self.touched = analysis.touches[behavior.name]
-        self.channel_modes = channel_modes
         self.deferred_channels = deferred_channels
-        self.tiers = tiers
         self.lines: List[str] = []
-        self.ns: Dict[str, object] = {"W": Wait}
-        self._bound: Dict[object, str] = {}
-        #: (bound name, rebind descriptor) per *new* binding, in
-        #: binding order: the recipe :func:`_rebind` replays to rebuild
-        #: the namespace against a different runtime when the source
-        #: text itself comes out of :data:`_SOURCE_MEMO`.
+        self._bound: Dict[tuple, str] = {}
+        #: (bound name, rebind descriptor) per binding, in binding
+        #: order: the recipe :func:`_rebind` replays to build the
+        #: namespace against each runtime that runs this source.
         self.recipe: List[Tuple[str, tuple]] = []
         self._tmp = 0
         #: Variable -> ("native", name) | ("env", bound var name)
         #:          | ("array", alias name)
         self.modes: Dict[Variable, Tuple[str, str]] = {}
-        self._transfers: Dict[int, str] = {}
 
     # -- namespace ----------------------------------------------------
 
-    def bind(self, obj: object, hint: str, rebind: tuple) -> str:
-        key = id(obj)
-        name = self._bound.get(key)
+    def bind(self, hint: str, rebind: tuple) -> str:
+        """The namespace name of the object ``rebind`` describes.  The
+        descriptor is the binding's identity: every access of one bus's
+        ``arbiter.acquire`` (a fresh bound method each time) shares one
+        name."""
+        name = self._bound.get(rebind)
         if name is None:
             name = f"_b{len(self._bound)}_{_sanitize(hint)}"
-            self._bound[key] = name
-            self.ns[name] = obj
+            self._bound[rebind] = name
             self.recipe.append((name, rebind))
         return name
 
@@ -200,8 +202,7 @@ class _BehaviorCompiler:
                 self.modes[variable] = ("array", f"_a_{label}")
             elif variable in self.contested:
                 self.modes[variable] = (
-                    "env", self.bind(variable, f"v_{label}",
-                                     ("var", variable.name)))
+                    "env", self.bind(f"v_{label}", ("var", variable.name)))
             else:
                 self.modes[variable] = ("native", f"_l_{label}")
         self._loadable = loadable
@@ -210,16 +211,14 @@ class _BehaviorCompiler:
         mode, name = self.modes[variable]
         if mode == "native":
             return name
-        env_read = self.bind(self.runtime.env.read, "env_read",
-                             ("env", "read"))
+        env_read = self.bind("env_read", ("env", "read"))
         return f"{env_read}({name})"
 
     def read_element(self, variable: Variable, index_code: str) -> str:
         _, arr = self.modes[variable]
         dtype = variable.dtype
         assert isinstance(dtype, ArrayType)
-        check = self.bind(dtype.validate_index,
-                          f"ixchk_{_sanitize(variable.name)}",
+        check = self.bind(f"ixchk_{_sanitize(variable.name)}",
                           ("var_ixchk", variable.name))
         tmp = self.temp("_i")
         # Inline bounds test; out-of-range delegates to validate_index
@@ -295,8 +294,7 @@ class _BehaviorCompiler:
             index = self.temp("_i")
             self.emit(indent, f"{index} = {self._expr(target.index)}")
             _, arr = self.modes[variable]
-            check = self.bind(dtype.validate_index,
-                              f"ixchk_{_sanitize(variable.name)}",
+            check = self.bind(f"ixchk_{_sanitize(variable.name)}",
                               ("var_ixchk", variable.name))
             self.emit(indent,
                       f"{arr}[{index} if 0 <= {index} < {dtype.length} "
@@ -308,8 +306,7 @@ class _BehaviorCompiler:
             if mode == "native":
                 self.emit(indent, f"{name} = {wrapped}")
             else:
-                env_write = self.bind(self.runtime.env.write,
-                                      "env_write", ("env", "write"))
+                env_write = self.bind("env_write", ("env", "write"))
                 self.emit(indent, f"{env_write}({name}, {wrapped})")
         self.emit(indent, "t += 1")
 
@@ -329,8 +326,7 @@ class _BehaviorCompiler:
             raw = self.temp("_f")
             self.emit(indent, f"for {raw} in {rng}:")
             self._flush(indent + 1)
-            env_write = self.bind(self.runtime.env.write, "env_write",
-                                  ("env", "write"))
+            env_write = self.bind("env_write", ("env", "write"))
             self.emit(indent + 1,
                       f"{env_write}({name}, "
                       f"{_wrap_code(variable.dtype, raw)})")
@@ -363,20 +359,11 @@ class _BehaviorCompiler:
     # -- calls --------------------------------------------------------
 
     def _transfer_name(self, sim_bus, pair, deferred: bool) -> str:
-        key = id(pair)
-        name = self._transfers.get(key)
-        if name is None:
-            fn = _bind_transfer(self.runtime, sim_bus, pair,
-                                self.behavior.name, deferred,
-                                self.channel_modes, self.tiers)
-            hint = f"xf_{_sanitize(pair.channel.name)}"
-            if deferred:
-                hint += f"_{FUSED}"
-            name = self.bind(
-                fn, hint,
-                ("transfer", sim_bus.name, pair.channel.name, deferred))
-            self._transfers[key] = name
-        return name
+        hint = f"xf_{_sanitize(pair.channel.name)}"
+        if deferred:
+            hint += f"_{FUSED}"
+        return self.bind(
+            hint, ("transfer", sim_bus.name, pair.channel.name, deferred))
 
     def _emit_call(self, stmt: Call, indent: int) -> None:
         # analyze._call_reason vetted shape and arity already.
@@ -395,14 +382,12 @@ class _BehaviorCompiler:
         if procedure.takes_address:
             addr = self.temp("_adr")
             self.emit(indent, f"{addr} = {self._expr(args.pop(0))}")
-            check = self.bind(channel.variable.dtype.validate_index,
-                              f"ixchk_{_sanitize(channel.variable.name)}",
+            check = self.bind(f"ixchk_{_sanitize(channel.variable.name)}",
                               ("chan_ixchk", sim_bus.name, channel.name))
             self.emit(indent, f"{check}({addr})")
         data = "None"
         if channel.is_write:
-            packer = self.bind(self.runtime.packer_for(channel.variable),
-                               f"pack_{_sanitize(channel.variable.name)}",
+            packer = self.bind(f"pack_{_sanitize(channel.variable.name)}",
                                ("packer", sim_bus.name, channel.name))
             data = self.temp("_dat")
             self.emit(indent,
@@ -415,12 +400,9 @@ class _BehaviorCompiler:
                       f"({addr}, {data}, t)")
             self.emit(indent, "t = 0")
         else:
-            arbiter = sim_bus.arbiter
-            acquire = self.bind(arbiter.acquire,
-                                f"acq_{_sanitize(sim_bus.name)}",
+            acquire = self.bind(f"acq_{_sanitize(sim_bus.name)}",
                                 ("acquire", sim_bus.name))
-            release = self.bind(arbiter.release,
-                                f"rel_{_sanitize(sim_bus.name)}",
+            release = self.bind(f"rel_{_sanitize(sim_bus.name)}",
                                 ("release", sim_bus.name))
             me = repr(self.behavior.name)
             self.emit(indent, f"yield from {acquire}({me})")
@@ -431,10 +413,8 @@ class _BehaviorCompiler:
             self.emit(indent, "finally:")
             self.emit(indent + 1, f"{release}({me})")
         if channel.is_read:
-            decode = self.bind(
-                self.runtime.decoder_for(channel.variable),
-                f"dec_{_sanitize(channel.variable.name)}",
-                ("decoder", sim_bus.name, channel.name))
+            decode = self.bind(f"dec_{_sanitize(channel.variable.name)}",
+                               ("decoder", sim_bus.name, channel.name))
             value = self.temp("_v")
             self.emit(indent, f"{value} = {decode}({result})")
             target = stmt.results[0]
@@ -443,12 +423,9 @@ class _BehaviorCompiler:
                 self.emit(indent,
                           f"{index} = {self._expr(target.index)}")
                 env_write_element = self.bind(
-                    self.runtime.env.write_element, "env_write_element",
-                    ("env", "write_element"))
-                tvar = self.bind(
-                    target.variable,
-                    f"v_{_sanitize(target.variable.name)}",
-                    ("var", target.variable.name))
+                    "env_write_element", ("env", "write_element"))
+                tvar = self.bind(f"v_{_sanitize(target.variable.name)}",
+                                 ("var", target.variable.name))
                 self.emit(indent,
                           f"{env_write_element}({tvar}, {index}, "
                           f"{value})")
@@ -458,14 +435,13 @@ class _BehaviorCompiler:
                 if tmode == "native":
                     self.emit(indent, f"{tname} = {wrapped}")
                 else:
-                    env_write = self.bind(self.runtime.env.write,
-                                          "env_write", ("env", "write"))
+                    env_write = self.bind("env_write", ("env", "write"))
                     self.emit(indent,
                               f"{env_write}({tname}, {wrapped})")
 
     # -- assembly -----------------------------------------------------
 
-    def compile(self) -> Tuple[str, Dict[str, object]]:
+    def compile(self) -> str:
         self._classify()
         self.emit(0, "def run():")
         self.emit(1, "t = 0")
@@ -475,15 +451,13 @@ class _BehaviorCompiler:
         # re-raised exception at the same simulated clock the
         # interpreter would report.
         self.emit(1, "try:")
-        env_read = self.bind(self.runtime.env.read, "env_read",
-                             ("env", "read"))
+        env_read = self.bind("env_read", ("env", "read"))
         for variable in sorted(self.modes, key=lambda v: v.name):
             mode, name = self.modes[variable]
             if mode == "env":
                 continue
             if variable in self._loadable:
-                vname = self.bind(variable,
-                                  f"v_{_sanitize(variable.name)}",
+                vname = self.bind(f"v_{_sanitize(variable.name)}",
                                   ("var", variable.name))
                 self.emit(2, f"{name} = {env_read}({vname})")
             # For-only loop variables are assigned by their loop before
@@ -491,14 +465,12 @@ class _BehaviorCompiler:
         self._emit_body(self.behavior.body, 2)
         self.emit(2, "if t:")
         self.emit(3, "yield W(t)")
-        env_write = self.bind(self.runtime.env.write, "env_write",
-                              ("env", "write"))
+        env_write = self.bind("env_write", ("env", "write"))
         original = set(self.runtime.spec.original.variables)
         for variable in sorted(self.modes, key=lambda v: v.name):
             mode, name = self.modes[variable]
             if mode == "native" and variable in original:
-                vname = self.bind(variable,
-                                  f"v_{_sanitize(variable.name)}",
+                vname = self.bind(f"v_{_sanitize(variable.name)}",
                                   ("var", variable.name))
                 self.emit(2, f"{env_write}({vname}, {name})")
         self.emit(1, "except GeneratorExit:")
@@ -507,7 +479,7 @@ class _BehaviorCompiler:
         self.emit(2, "if t:")
         self.emit(3, "yield W(t)")
         self.emit(2, "raise")
-        return "\n".join(self.lines) + "\n", self.ns
+        return "\n".join(self.lines) + "\n"
 
 
 #: When set, every generated source is passed through this
@@ -540,20 +512,21 @@ class source_transform:
 
 
 # ----------------------------------------------------------------------
-# Source memoization
+# Reuse
 #
-# Re-elaborating the same design point (benchmark repeats, width sweeps
-# that revisit a width, verify-then-simulate flows) re-runs the whole
-# text emission even though the generated source is a pure function of
-# the behavior IR plus the planning facts.  We memoize (source, binding
-# recipe) under a structural key and, on a hit, only rebuild the
-# namespace against the new runtime.  The entry also keeps the compiled
-# code object: ``compile`` costs ~0.3 ms per generated behavior, so a
-# hit skips both emission and compilation.  A key that failed to
-# capture some input would surface immediately: the translation
-# validator proves every source against the *current* spec's facts
-# before the kernel runs it, so a stale hit is refuted and demoted,
-# never silently wrong.
+# A warm simulate() elaborates the same refined spec again and again.
+# Everything compile_spec derives -- the analysis, the channel plan, the
+# deferred set and each behavior's (source, binding recipe, code object)
+# -- is a pure function of the spec's IR and the runtime inputs
+# :func:`_runtime_key` lists, so each elaboration walks the IR once
+# (:func:`~repro.sim.compiled.reuse.spec_walk`) and reuses that state,
+# per spec object, while the key holds; only the namespaces are rebuilt
+# against the new runtime.  Across specs, :data:`_SOURCE_MEMO` shares
+# the emitted text of structurally equal behaviors (width sweeps,
+# verify-then-simulate flows).  A key that missed some input would not
+# run silently wrong code: the translation validator re-checks every
+# elaboration against facts it plans under its own key, and the
+# in-place-edit checks of ``tools/validate_compiled.py`` seed such bugs.
 # ----------------------------------------------------------------------
 
 def _dtype_code(dtype) -> str:
@@ -564,55 +537,8 @@ def _dtype_code(dtype) -> str:
     return f"{dtype.bits}{'s' if getattr(dtype, 'signed', False) else 'u'}"
 
 
-def _fp_expr(expr) -> str:
-    if isinstance(expr, Const):
-        return f"C{expr.value}"
-    if isinstance(expr, Ref):
-        return f"R({expr.variable.name})"
-    if isinstance(expr, Index):
-        return f"X({expr.variable.name},{_fp_expr(expr.index)})"
-    if isinstance(expr, BinOp):
-        return f"B({expr.op},{_fp_expr(expr.lhs)},{_fp_expr(expr.rhs)})"
-    if isinstance(expr, UnOp):
-        return f"U({expr.op},{_fp_expr(expr.operand)})"
-    return f"?{type(expr).__name__}"
-
-
-def _fp_target(target) -> str:
-    index = target.index_expr()
-    if index is None:
-        return target.variable.name
-    return f"{target.variable.name}[{_fp_expr(index)}]"
-
-
-def _fp_stmt(stmt) -> str:
-    if isinstance(stmt, Assign):
-        return f"A({_fp_target(stmt.target)},{_fp_expr(stmt.expr)})"
-    if isinstance(stmt, If):
-        return (f"I({_fp_expr(stmt.cond)},[{_fp_body(stmt.then_body)}],"
-                f"[{_fp_body(stmt.else_body)}])")
-    if isinstance(stmt, For):
-        return (f"F({stmt.var.name},{stmt.lo},{stmt.hi},"
-                f"[{_fp_body(stmt.body)}])")
-    if isinstance(stmt, While):
-        return f"W({_fp_expr(stmt.cond)},[{_fp_body(stmt.body)}])"
-    if isinstance(stmt, WaitClocks):
-        return f"T{stmt.clocks}"
-    if isinstance(stmt, Call):
-        args = ",".join(_fp_expr(a) for a in stmt.args)
-        results = ",".join(_fp_target(r) for r in stmt.results)
-        return f"K({stmt.procedure.name},[{args}],[{results}])"
-    if isinstance(stmt, Nop):
-        return "N"
-    return f"?{type(stmt).__name__}"
-
-
-def _fp_body(body) -> str:
-    return ",".join(_fp_stmt(s) for s in body)
-
-
 def _memo_key(runtime, behavior, analysis: Analysis,
-              deferred_channels) -> tuple:
+              deferred_channels, fingerprint: str) -> tuple:
     """Everything the emitted text depends on.  Transfer tiers are not
     part of it: the text calls ``xf_<channel>`` whatever the tier, and
     :func:`_rebind` binds the current plan's.  ``_scalar_bounds`` and
@@ -643,13 +569,63 @@ def _memo_key(runtime, behavior, analysis: Analysis,
             f":{key in deferred_channels:d}{proc.takes_address:d}"
             f"{pair.channel.is_write:d}{pair.channel.is_read:d}")
     return (_scalar_bounds, CHUNK_CLOCKS,
-            f"{behavior.name}|{_fp_body(behavior.body)}|{variables}|"
+            f"{behavior.name}|{fingerprint}|{variables}|"
             + ";".join(calls))
 
 
 #: memo key -> (generated source, binding recipe, code object).
 _SOURCE_MEMO: Dict[tuple, Tuple[str, tuple, CodeType]] = {}
 _SOURCE_MEMO_LIMIT = 512
+
+
+def _runtime_key(runtime, held: List[object]) -> tuple:
+    """Every input besides the IR that analysis, planning and emission
+    read: the spec name (code objects are named after it), the
+    normalized stages, the shared variables, each bus's arbiter type,
+    injector, protection, protocol shape and bound procedures, the
+    recorder and trace flags, and the codegen's own parameters.  Objects
+    keyed by identity are appended to ``held``, which the reused state
+    keeps alive so no id can be recycled under it."""
+    spec = runtime.spec
+    buses = []
+    for refined_bus in spec.buses:
+        sim_bus = runtime.buses[refined_bus.name]
+        pairs = []
+        for pair in refined_bus.procedures.values():
+            held.extend((pair, pair.accessor, pair.channel,
+                         pair.channel.variable))
+            pairs.append((id(pair), id(pair.accessor), id(pair.channel),
+                          id(pair.channel.variable)))
+        held.append(sim_bus.protection)
+        buses.append((refined_bus.name, type(sim_bus.arbiter),
+                      sim_bus.injector is not None, id(sim_bus.protection),
+                      sim_bus.uses_handshake, sim_bus.uses_burst,
+                      tuple(pairs)))
+    held.extend(spec.original.variables)
+    return (spec.name, tuple(map(tuple, runtime._stages)),
+            tuple(map(id, spec.original.variables)), tuple(buses),
+            runtime.recorder is not None, bool(runtime.trace),
+            _scalar_bounds, CHUNK_CLOCKS)
+
+
+@dataclass
+class _Elaboration:
+    """What :func:`compile_spec` reuses for one spec under one key."""
+
+    analysis: Analysis
+    channel_modes: Dict[Tuple[str, str], Tuple[str, str]]
+    #: compile and analysis fallbacks, sorted by behavior name.
+    fallbacks: Dict[str, str]
+    #: behavior name -> (source, code object, spec-level namespace,
+    #: the recipe entries each runtime binds).
+    lowered: Dict[str, Tuple[str, CodeType, dict, tuple]]
+    #: the objects the key names by identity.
+    held: List[object] = field(default_factory=list)
+
+
+#: spec -> key -> :class:`_Elaboration`.  A few keys per spec, so runs
+#: with and without an observer alternate without evicting each other.
+_ELABORATIONS = SpecMemo(limit=4)
 
 
 def _bind_transfer(runtime, sim_bus, pair, initiator: str, deferred: bool,
@@ -664,26 +640,40 @@ def _bind_transfer(runtime, sim_bus, pair, initiator: str, deferred: bool,
                          deferred=deferred)
 
 
-def _rebind(runtime, behavior, recipe, pair_map, analysis: Analysis,
-            channel_modes, tiers) -> Dict[str, object]:
-    """Replay a binding recipe against a (new) runtime, producing the
-    namespace a memoized source expects.  Transfers take their tier
-    from ``channel_modes``, the current plan."""
-    ns: Dict[str, object] = {"W": Wait}
+def _bind_spec_level(behavior, recipe, analysis: Analysis, pairs
+                     ) -> Tuple[Dict[str, object], tuple]:
+    """Resolve the recipe entries that name spec-level objects (helpers,
+    variables, index checks) once per lowering: ``(namespace part,
+    the entries each runtime must still bind)``."""
+    base: Dict[str, object] = {"W": Wait}
+    per_runtime = []
     varmap = {v.name: v for v in analysis.touches[behavior.name]}
     for name, desc in recipe:
         kind = desc[0]
         if kind == "static":
-            ns[name] = desc[1]
-        elif kind == "env":
-            ns[name] = getattr(runtime.env, desc[1])
+            base[name] = desc[1]
         elif kind == "var":
-            ns[name] = varmap[desc[1]]
+            base[name] = varmap[desc[1]]
         elif kind == "var_ixchk":
-            ns[name] = varmap[desc[1]].dtype.validate_index
+            base[name] = varmap[desc[1]].dtype.validate_index
         elif kind == "chan_ixchk":
-            _, pair = pair_map[desc[1], desc[2]]
-            ns[name] = pair.channel.variable.dtype.validate_index
+            base[name] = \
+                pairs[desc[1], desc[2]].channel.variable.dtype.validate_index
+        else:
+            per_runtime.append((name, desc))
+    return base, tuple(per_runtime)
+
+
+def _rebind(runtime, behavior, base, recipe, pair_map, channel_modes,
+            tiers) -> Dict[str, object]:
+    """Bind the runtime half of a recipe (environment, codecs, arbiter,
+    transfers) over the spec-level namespace ``base``.  Transfers take
+    their tier from ``channel_modes``, the current plan."""
+    ns = dict(base)
+    for name, desc in recipe:
+        kind = desc[0]
+        if kind == "env":
+            ns[name] = getattr(runtime.env, desc[1])
         elif kind == "packer":
             _, pair = pair_map[desc[1], desc[2]]
             ns[name] = runtime.packer_for(pair.channel.variable)
@@ -705,16 +695,14 @@ def _rebind(runtime, behavior, recipe, pair_map, analysis: Analysis,
     return ns
 
 
-def compile_spec(runtime) -> CompiledProgram:
-    """Compile every compilable behavior of a
-    :class:`~repro.sim.runtime.RefinedSimulation`."""
+def _elaborate(runtime, fingerprints: Dict[str, str]) -> _Elaboration:
+    """Analyze, plan and lower a spec from scratch (emitted text still
+    comes out of :data:`_SOURCE_MEMO` when an equal behavior has been
+    lowered before)."""
     spec = runtime.spec
     analysis = analyze_spec(spec, runtime._stages, runtime._proc_map)
-    program = CompiledProgram(fallbacks=dict(analysis.fallbacks),
-                              analysis=analysis)
-
+    channel_modes: Dict[Tuple[str, str], Tuple[str, str]] = {}
     deferred = set()
-    pair_map: Dict[Tuple[str, str], Tuple[object, object]] = {}
     for refined_bus in spec.buses:
         sim_bus = runtime.buses[refined_bus.name]
         deferrable = (
@@ -722,28 +710,28 @@ def compile_spec(runtime) -> CompiledProgram:
             and sim_bus.name in analysis.uncontended_buses
         )
         for pair in refined_bus.procedures.values():
-            pair_map[(sim_bus.name, pair.channel.name)] = (sim_bus, pair)
-            mode, reason = plan_channel(
+            site = (sim_bus.name, pair.channel.name)
+            channel_modes[site] = plan_channel(
                 sim_bus, pair, analysis.contested, analysis.bus_serialized,
                 runtime.recorder, runtime.trace)
-            program.channel_modes[(sim_bus.name, pair.channel.name)] = \
-                (mode, reason)
-            if mode == FUSED and deferrable:
-                deferred.add((sim_bus.name, pair.channel.name))
+            if channel_modes[site][0] == FUSED and deferrable:
+                deferred.add(site)
     deferred_channels = frozenset(deferred)
 
+    pairs = {(refined_bus.name, pair.channel.name): pair
+             for refined_bus in spec.buses
+             for pair in refined_bus.procedures.values()}
+    fallbacks = dict(analysis.fallbacks)
+    lowered: Dict[str, Tuple[str, CodeType, dict, tuple]] = {}
     for behavior in spec.behaviors:
-        if behavior.name in program.fallbacks:
+        if behavior.name in fallbacks:
             continue
         memo_key = _memo_key(runtime, behavior, analysis,
-                             deferred_channels)
+                             deferred_channels, fingerprints[behavior.name])
         filename = f"<compiled {spec.name}.{behavior.name}>"
-        tiers: Dict[Tuple[str, str], str] = {}
         cached = _SOURCE_MEMO.get(memo_key)
         if cached is not None:
             source, recipe, code = cached
-            ns = _rebind(runtime, behavior, recipe, pair_map, analysis,
-                         program.channel_modes, tiers)
             if code.co_filename != filename:
                 # Same text under another spec name: recompile so
                 # tracebacks name the spec that is running.
@@ -751,26 +739,65 @@ def compile_spec(runtime) -> CompiledProgram:
                 _SOURCE_MEMO[memo_key] = (source, recipe, code)
         else:
             compiler = _BehaviorCompiler(runtime, behavior, analysis,
-                                         program.channel_modes,
-                                         deferred_channels, tiers)
+                                         deferred_channels)
             try:
-                source, ns = compiler.compile()
+                source = compiler.compile()
             except CompileFallback as exc:
-                program.fallbacks[behavior.name] = str(exc)
+                fallbacks[behavior.name] = str(exc)
                 continue
+            recipe = tuple(compiler.recipe)
             code = compile(source, filename, "exec")
             if len(_SOURCE_MEMO) >= _SOURCE_MEMO_LIMIT:
                 _SOURCE_MEMO.pop(next(iter(_SOURCE_MEMO)))
-            _SOURCE_MEMO[memo_key] = (source, tuple(compiler.recipe), code)
+            _SOURCE_MEMO[memo_key] = (source, recipe, code)
+        base, per_runtime = _bind_spec_level(behavior, recipe, analysis,
+                                             pairs)
+        lowered[behavior.name] = (source, code, base, per_runtime)
+    # Deterministic rendering everywhere the dict is iterated (MANIFEST,
+    # run reports, SimResult.fallbacks): sorted by process name.
+    return _Elaboration(analysis=analysis, channel_modes=channel_modes,
+                        fallbacks=dict(sorted(fallbacks.items())),
+                        lowered=lowered)
+
+
+def compile_spec(runtime) -> CompiledProgram:
+    """Compile every compilable behavior of a
+    :class:`~repro.sim.runtime.RefinedSimulation`."""
+    spec = runtime.spec
+    fingerprints, refs = spec_walk(spec)
+    held: List[object] = []
+    key = (_runtime_key(runtime, held), tuple(fingerprints.items()),
+           tuple(map(id, refs)))
+    state = _ELABORATIONS.get(spec, key)
+    if state is None:
+        state = _elaborate(runtime, fingerprints)
+        state.held = refs + held
+        _ELABORATIONS.put(spec, key, state)
+    program = CompiledProgram(fallbacks=dict(state.fallbacks),
+                              channel_modes=dict(state.channel_modes),
+                              analysis=state.analysis,
+                              fingerprints=fingerprints, refs=refs)
+    pair_map = {
+        (refined_bus.name, pair.channel.name):
+            (runtime.buses[refined_bus.name], pair)
+        for refined_bus in spec.buses
+        for pair in refined_bus.procedures.values()
+    }
+    for behavior in spec.behaviors:
+        lowered = state.lowered.get(behavior.name)
+        if lowered is None:
+            continue
+        source, code, base, recipe = lowered
+        tiers: Dict[Tuple[str, str], str] = {}
+        ns = _rebind(runtime, behavior, base, recipe, pair_map,
+                     program.channel_modes, tiers)
         if _SOURCE_TRANSFORM is not None:
             # A planted defect: run the transformed text, never cache it.
             source = _SOURCE_TRANSFORM(behavior.name, source)
-            code = compile(source, filename, "exec")
+            code = compile(source, f"<compiled {spec.name}."
+                           f"{behavior.name}>", "exec")
         exec(code, ns)
         program.processes[behavior.name] = ns["run"]  # type: ignore
         program.sources[behavior.name] = source
         program.transfer_tiers[behavior.name] = tiers
-    # Deterministic rendering everywhere the dict is iterated (MANIFEST,
-    # run reports, SimResult.fallbacks): sorted by process name.
-    program.fallbacks = dict(sorted(program.fallbacks.items()))
     return program

@@ -43,7 +43,7 @@ class ExprContext(Protocol):
 
     def read_scalar(self, variable) -> str: ...
     def read_element(self, variable, index_code: str) -> str: ...
-    def bind(self, obj: object, hint: str, rebind: tuple) -> str: ...
+    def bind(self, hint: str, rebind: tuple) -> str: ...
 
 
 _EMPTY_ENV = Environment()
@@ -84,12 +84,10 @@ def compile_expr(expr: Expr, ctx: ExprContext) -> str:
         if op in _COMPARE:
             return f"(1 if {lhs} {_COMPARE[op]} {rhs} else 0)"
         if op == "/":
-            div = ctx.bind(_checked_div, "div",
-                           ("static", _checked_div))
+            div = ctx.bind("div", ("static", _checked_div))
             return f"{div}({lhs}, {rhs})"
         if op == "mod":
-            mod = ctx.bind(_checked_mod, "mod",
-                           ("static", _checked_mod))
+            mod = ctx.bind("mod", ("static", _checked_mod))
             return f"{mod}({lhs}, {rhs})"
         if op == "and":
             # Eager on both sides, like the interpreter: `&` evaluates

@@ -316,7 +316,9 @@ class RefinedSimulation:
             self.sim.add_process(
                 behavior.name,
                 self._behavior_process(behavior) if body_fn is None
-                else self._compiled_behavior_process(behavior, body_fn),
+                else self._compiled_behavior_process(
+                    behavior, body_fn,
+                    self.compiled.analysis.declared[behavior.name]),
             )
 
     def _storage_adapter(self, variable: Variable) -> StorageAdapter:
@@ -396,15 +398,16 @@ class RefinedSimulation:
         self._done_signal[behavior.name].set(1)
 
     def _compiled_behavior_process(self, behavior: Behavior,
-                                   body_fn: Callable[[], Generator]
+                                   body_fn: Callable[[], Generator],
+                                   declared: Sequence[Variable]
                                    ) -> Generator:
         """Same start/finish discipline as :meth:`_behavior_process`,
-        with the interpreted body swapped for a compiled one.  Loop
-        variables are declared eagerly (the interpreter declares them
-        at first loop entry) -- observable only through snapshots, not
-        results."""
-        for local in sorted(behavior.declared_variables(),
-                            key=lambda v: v.name):
+        with the interpreted body swapped for a compiled one.
+        ``declared`` (the behavior's locals and loop variables, from the
+        compile-time analysis) are declared eagerly (the interpreter
+        declares loop variables at first loop entry) -- observable only
+        through snapshots, not results."""
+        for local in declared:
             if not self.env.is_declared(local):
                 self.env.declare(local)
 

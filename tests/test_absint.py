@@ -1,6 +1,8 @@
 """Abstract-interpretation engine: domain algebra and engine edge cases."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.absint import (
     AbsVal,
@@ -12,7 +14,7 @@ from repro.analysis.absint.engine import WHILE_UNROLL_CAP
 from repro.spec.behavior import Behavior
 from repro.spec.expr import BinOp, Const, Ref
 from repro.spec.stmt import Assign, For, If, While
-from repro.spec.types import BitType, IntType
+from repro.spec.types import ArrayType, BitType, IntType
 from repro.spec.variable import Variable
 
 
@@ -208,3 +210,63 @@ def test_proven_overflow_is_reported():
         havoc_shared=False)
     assert any(f.kind == "overflow" and f.certain
                for f in analysis.findings)
+
+
+# ----------------------------------------------------------------------
+# Initial store: distinct values joined once
+# ----------------------------------------------------------------------
+
+def _elementwise_init(variable):
+    """The reference seeding: join every array element in order."""
+    initial = variable.initial_value()
+    if isinstance(initial, list):
+        out = AbsVal.bottom()
+        for element in initial:
+            out = out.join(AbsVal.const(element))
+        return out
+    return AbsVal.const(initial)
+
+
+def _builtin_and_example_systems():
+    import glob
+    import os
+
+    from repro.apps.answering_machine import build_answering_machine
+    from repro.apps.ethernet import build_ethernet
+    from repro.apps.flc import build_flc
+    from repro.frontend.parser import parse_spec_file
+
+    systems = [build_flc().system, build_answering_machine().system,
+               build_ethernet().system]
+    root = os.path.join(os.path.dirname(__file__), "..", "examples",
+                        "specs")
+    for path in sorted(glob.glob(os.path.join(root, "*.spec"))):
+        systems.append(parse_spec_file(path).system)
+    return systems
+
+
+def test_initial_store_matches_elementwise_join_on_every_system():
+    from repro.analysis.absint.engine import _init_absval
+
+    checked = 0
+    for system in _builtin_and_example_systems():
+        variables = list(system.variables)
+        for behavior in system.behaviors:
+            variables.extend(behavior.local_variables)
+        for variable in variables:
+            assert _init_absval(variable) == _elementwise_init(variable), \
+                f"{system.name}.{variable.name}"
+            checked += 1
+    assert checked > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(-8, 8),
+                          st.integers(-(1 << 15), (1 << 15) - 1)),
+                min_size=1, max_size=48))
+def test_initial_store_matches_elementwise_join_on_random_arrays(values):
+    from repro.analysis.absint.engine import _init_absval
+
+    variable = Variable("A", ArrayType(IntType(16), len(values)),
+                        init=values)
+    assert _init_absval(variable) == _elementwise_init(variable)

@@ -51,6 +51,7 @@ from repro.spec.system import SystemSpec
 from repro.spec.types import ArrayType, IntType
 from repro.spec.variable import Variable
 
+from tests.conftest import make_fig3
 from tests.golden_util import (
     GOLDEN_SYSTEMS,
     GOLDEN_VARIANTS,
@@ -644,3 +645,250 @@ def test_recorder_after_detached_run_rebinds_without_recompiling(
     # The re-bound transfers journal every word like the interpreter's.
     assert [e.to_dict() for e in recorder.events] \
         == [e.to_dict() for e in reference.events]
+
+
+# ---------------------------------------------------------------------------
+# Elaboration reuse: a warm re-elaboration of an unchanged spec walks its
+# IR once and re-analyzes, re-plans, re-emits and re-compiles nothing;
+# any in-place edit or observer change is seen on the next elaboration
+
+
+class _ElaborationCounts:
+    """Counts the work a compiled elaboration does, by patching the
+    module attributes each stage looks up at call time."""
+
+    def __init__(self, monkeypatch):
+        from repro.analysis.tv import trace
+        from repro.sim.compiled import analyze, codegen, reuse
+        from repro.spec import behavior as behavior_mod
+
+        self.analyses = 0
+        self.facts = 0
+        self.compiles = 0
+        self.walks = {}
+        self.other_walks = 0
+
+        def count_analysis(real):
+            def wrapper(*args, **kwargs):
+                self.analyses += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for module in (codegen, trace):
+            monkeypatch.setattr(module, "analyze_spec",
+                                count_analysis(module.analyze_spec))
+
+        real_facts = trace.BehaviorFacts
+
+        class CountingFacts(real_facts):
+            def __init__(inner, *args, **kwargs):
+                self.facts += 1
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(trace, "BehaviorFacts", CountingFacts)
+
+        def counting_compile(source, filename, mode):
+            self.compiles += 1
+            return compile(source, filename, mode)
+
+        monkeypatch.setattr(codegen, "compile", counting_compile,
+                            raising=False)
+
+        real_fingerprint = reuse.ir_fingerprint
+
+        def counting_fingerprint(behavior, refs=None):
+            self.walks[behavior.name] = self.walks.get(behavior.name, 0) + 1
+            return real_fingerprint(behavior, refs)
+
+        monkeypatch.setattr(reuse, "ir_fingerprint", counting_fingerprint)
+
+        def count_walk(real):
+            def wrapper(*args, **kwargs):
+                self.other_walks += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for module in (analyze, codegen, trace):
+            monkeypatch.setattr(module, "walk_statements",
+                                count_walk(module.walk_statements))
+        monkeypatch.setattr(behavior_mod, "walk",
+                            count_walk(behavior_mod.walk))
+
+    def reset(self):
+        self.analyses = self.facts = self.compiles = self.other_walks = 0
+        self.walks = {}
+
+
+class TestElaborationReuse:
+    """Per-spec reuse: exact work counts on a warm re-elaboration, and
+    every in-place edit or observer change seen by the next one."""
+
+    @staticmethod
+    def _many(producers):
+        from tests.test_stress import many_producers_system
+
+        system, group, _, _, _ = many_producers_system(
+            producers=producers, messages=1)
+        return generate_protocol(system, group, width=8)
+
+    @pytest.mark.parametrize("producers", [12, 520])
+    def test_warm_reelaboration_does_only_the_walk(self, producers,
+                                                  monkeypatch):
+        """More behaviors than the 512-entry cross-spec source memo
+        holds: the per-spec state still answers everything."""
+        refined = self._many(producers)
+        counts = _ElaborationCounts(monkeypatch)
+        first = RefinedSimulation(refined, backend="compiled")
+        assert first.compiled.fallbacks == {}
+        assert counts.analyses == 1 and counts.facts == producers
+        counts.reset()
+        warm = RefinedSimulation(refined, backend="compiled")
+        assert counts.analyses == 0
+        assert counts.facts == 0
+        assert counts.compiles == 0
+        assert counts.walks == {b.name: 1 for b in refined.behaviors}
+        assert counts.other_walks == 0
+        assert warm.tv_report.all_validated
+        assert warm.compiled.sources == first.compiled.sources
+        if producers < 100:
+            _assert_results_agree(simulate(refined, backend="interp"),
+                                  warm.run())
+
+    def test_dropped_spec_takes_its_state_along(self):
+        import gc
+        import weakref
+
+        from repro.analysis.tv import checker
+        from repro.sim.compiled import codegen
+
+        refined = self._many(3)
+        RefinedSimulation(refined, backend="compiled")
+        key = id(refined)
+        assert key in codegen._ELABORATIONS._slots
+        assert key in checker._FACTS._slots
+        alive = weakref.ref(refined)
+        del refined
+        gc.collect()
+        assert alive() is None
+        assert key not in codegen._ELABORATIONS._slots
+        assert key not in checker._FACTS._slots
+
+    @staticmethod
+    def _edits():
+        """In-place edits of a refined fig. 3 spec, each observable."""
+        from repro.protogen.procedures import CommProcedure
+        from repro.spec.expr import Const
+        from repro.spec.stmt import Call
+
+        def const_arg(refined):
+            call = next(s for s in refined.behavior("Q").body
+                        if isinstance(s, Call)
+                        and isinstance(s.procedure, CommProcedure)
+                        and s.procedure.channel.is_write)
+            call.args[-1] = Const(13)
+
+        def delay(refined):
+            refined.behavior("Q").body.insert(0, WaitClocks(17))
+
+        def replace(refined):
+            old = refined.behaviors[0]
+            refined.behaviors[0] = Behavior(
+                old.name, [WaitClocks(5)] + list(old.body),
+                local_variables=old.local_variables)
+
+        return {"const_arg": const_arg, "delay": delay, "replace": replace}
+
+    @pytest.mark.parametrize("first_backend", BACKENDS)
+    @pytest.mark.parametrize("edit", ["const_arg", "delay", "replace"])
+    def test_edit_after_a_run_is_seen_by_the_next_run(self, edit,
+                                                     first_backend):
+        fig3 = make_fig3()
+        refined = generate_protocol(fig3.system, fig3.group, width=8)
+        schedule = ["P", "Q"]
+        for _ in range(2):
+            before = simulate(refined, schedule=schedule,
+                              backend=first_backend)
+        self._edits()[edit](refined)
+        compiled = simulate(refined, schedule=schedule, backend="compiled")
+        interp = simulate(refined, schedule=schedule, backend="interp")
+        assert compiled.fallbacks == {}
+        _assert_results_agree(interp, compiled)
+        assert (interp.final_values, interp.end_time) \
+            != (before.final_values, before.end_time)
+
+    def test_observers_between_calls_rebind_the_tiers(self):
+        from repro.obs import SimMetrics
+        from repro.obs.flight import FlightRecorder
+
+        model, refined = _contended("full")
+        factories = arbiter_factories("fifo", model.bus.name)
+
+        def elaborate(**observers):
+            return RefinedSimulation(refined, backend="compiled",
+                                     arbiter_factories=factories,
+                                     **observers)
+
+        def tiers(sim):
+            assert sim.compiled.fallbacks == {}
+            return {tier for bound in sim.compiled.transfer_tiers.values()
+                    for tier in bound.values()}
+
+        assert tiers(elaborate()) == {"fused"}
+        assert tiers(elaborate(recorder=FlightRecorder())) \
+            == {"specialized"}
+        assert tiers(elaborate()) == {"fused"}
+
+        metrics = SimMetrics()
+        observed = elaborate(metrics=metrics)
+        assert tiers(observed) == {"fused"}
+        observed.run()
+        reference = SimMetrics()
+        simulate(_contended("full")[1], backend="compiled",
+                 arbiter_factories=factories, metrics=reference)
+        assert metrics.bus(model.bus.name).to_dict() \
+            == reference.bus(model.bus.name).to_dict()
+
+    def test_arbiter_methods_bound_once_per_bus(self):
+        """A behavior with two arbitrated call sites binds one
+        acquire/release pair and still validates."""
+        import re
+
+        model, refined = _contended("full")
+        sim = RefinedSimulation(
+            refined, backend="compiled",
+            arbiter_factories=arbiter_factories("rr", model.bus.name))
+        source = sim.compiled.sources["INIT01"]
+        assert len(re.findall(r"yield from _b\d+_acq_", source)) == 2
+        assert len(set(re.findall(r"_b\d+_acq_\w+", source))) == 1
+        assert len(set(re.findall(r"_b\d+_rel_\w+", source))) == 1
+        assert sim.compiled.verdicts["INIT01"].startswith("validated")
+
+
+def _validate_compiled_tool():
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).parent.parent / "tools" \
+        / "validate_compiled.py"
+    spec = importlib.util.spec_from_file_location("validate_compiled",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("bug, system", [
+    ("const_blind_fingerprint", "contended"),
+    ("recorder_blind_key", "contended"),
+    # flc's uncontended bus defers arbitration: a stale deferred form
+    # must still be refuted as P804, not as a pending-clock P802.
+    ("recorder_blind_key", "flc"),
+])
+def test_seeded_reuse_key_bugs_are_caught(bug, system):
+    tool = _validate_compiled_tool()
+    assert tool._reuse_findings(system) == []
+    seed, want = next((seed, want) for name, seed, want in tool.KEY_BUGS
+                      if name == bug)
+    with seed():
+        kinds = {kind for kind, _ in tool._reuse_findings(system)}
+    assert kinds == {want}

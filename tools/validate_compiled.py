@@ -17,10 +17,20 @@ where the arbiter alone serializes access to the served variables:
    (:mod:`repro.analysis.tv.mutations`) must be caught -- each planted
    miscompile refuted by *exactly* its own P8xx code and confirmed as
    a concrete divergence by :func:`repro.sim.replay.replay_backend_divergence`.
+4. **Reuse**: a compiled elaboration reuses what it derived from an
+   unchanged spec (:mod:`repro.sim.compiled.reuse`).  Per system the
+   spec is elaborated twice, edited in place (a bus write's data
+   constant, twice, then an inserted wait), and elaborated with a
+   flight recorder and detached again; every run must validate and
+   agree with the interpreter.  Two seeded reuse-key bugs must each be
+   caught by exactly their own check: a fingerprint that ignores
+   ``Const`` values by the differential check, a runtime key that
+   ignores the recorder by P804.
 
-A failure in (1) or (2) means the backend could silently produce wrong
-results; a failure in (3) means the validator lost the ability to
-notice.  Either way the script exits non-zero and CI fails the build.
+A failure in (1), (2) or (4) means the backend could silently produce
+wrong results; a failure in (3) or in (4)'s seeded bugs means a check
+lost the ability to notice.  Either way the script exits non-zero and
+CI fails the build.
 
 Usage::
 
@@ -30,6 +40,7 @@ Usage::
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 
 from repro.analysis.tv import validate_refined
 from repro.analysis.tv.mutations import check_corpus
@@ -39,8 +50,14 @@ from repro.apps.contended import (
     build_contended,
 )
 from repro.busgen.algorithm import generate_bus
+from repro.obs.flight import FlightRecorder
+from repro.protogen.procedures import CommProcedure
 from repro.protogen.refine import refine_system
+from repro.sim.compiled import codegen, reuse
+from repro.sim.compiled.analyze import walk_statements
 from repro.sim.runtime import simulate
+from repro.spec.expr import Const
+from repro.spec.stmt import Call, WaitClocks
 
 SYSTEMS = ("flc", "answering-machine", "ethernet", "contended")
 PROTECTIONS = (None, "parity", "crc8")
@@ -92,13 +109,17 @@ def _arbitrations(name: str, bus: str):
             for policy in ARBITRATIONS]
 
 
+def _bus_plan(name: str, group):
+    # Every contended initiator starts at clock 0, so no width meets
+    # the rate demand bus generation asks for: fix the width instead.
+    return (group, 8) if name == "contended" else generate_bus(group)
+
+
 def check_system(name: str) -> int:
     """Proof + agreement for one system; returns failure count."""
     failures = 0
     system, group, schedule = _build(name)
-    # Every contended initiator starts at clock 0, so no width meets
-    # the rate demand bus generation asks for: fix the width instead.
-    plan = (group, 8) if name == "contended" else generate_bus(group)
+    plan = _bus_plan(name, group)
     for protection in PROTECTIONS:
         refined = refine_system(system, [plan], protection=protection)
         for arbitration, factories in _arbitrations(name, group.name):
@@ -151,12 +172,131 @@ def check_mutations() -> int:
     return failures
 
 
+def _first_bus_write(refined):
+    """The first write call, in spec order: the in-place edit site."""
+    for behavior in refined.behaviors:
+        for stmt in walk_statements(behavior.body):
+            if isinstance(stmt, Call) \
+                    and isinstance(stmt.procedure, CommProcedure) \
+                    and stmt.procedure.channel.is_write:
+                return behavior, stmt
+    raise SystemExit("no bus write to edit")
+
+
+def _reuse_findings(name: str):
+    """Elaborate, re-elaborate, edit in place, observe: the findings
+    (``differential`` / P8xx code, detail) of every compiled run that
+    was refuted or disagreed with the interpreter."""
+    system, group, schedule = _build(name)
+    refined = refine_system(system, [_bus_plan(name, group)])
+    factories = (arbiter_factories("fifo", group.name)
+                 if name == "contended" else None)
+    findings = []
+
+    def compare(step: str, recorded: bool = False) -> None:
+        runs = {}
+        for backend in ("compiled", "interp"):
+            runs[backend] = simulate(
+                refined, schedule=schedule, backend=backend,
+                arbiter_factories=factories,
+                recorder=FlightRecorder() if recorded else None)
+        for reason in runs["compiled"].fallbacks.values():
+            code = reason.split("refuted: ", 1)[-1][:4]
+            findings.append((code, f"{step}: {reason}"))
+        mismatched = _agreement_failures(runs["interp"], runs["compiled"])
+        if mismatched:
+            findings.append(("differential", f"{step}: backends disagree "
+                             f"on {', '.join(mismatched)}"))
+
+    compare("first")
+    compare("warm")
+    behavior, call = _first_bus_write(refined)
+    for value in (1, 2):
+        call.args[-1] = Const(value)
+        compare(f"{behavior.name} writes {value}")
+    behavior.body.insert(0, WaitClocks(17))
+    compare(f"{behavior.name} waits first")
+    compare("recorder attached", recorded=True)
+    compare("detached again")
+    return findings
+
+
+@contextmanager
+def _patched(module, attr: str, value):
+    saved = getattr(module, attr)
+    setattr(module, attr, value)
+    try:
+        yield
+    finally:
+        setattr(module, attr, saved)
+
+
+def _const_blind_fingerprint():
+    """Seeded key bug: the IR fingerprint ignores ``Const`` values."""
+    real = reuse._expr
+
+    def expr(e, note):
+        return "C" if type(e) is Const else real(e, note)
+
+    return _patched(reuse, "_expr", expr)
+
+
+def _recorder_blind_key():
+    """Seeded key bug: the code generator's runtime key ignores the
+    flight recorder."""
+    real = codegen._runtime_key
+
+    def runtime_key(runtime, held):
+        recorder, runtime.recorder = runtime.recorder, None
+        try:
+            return real(runtime, held)
+        finally:
+            runtime.recorder = recorder
+
+    return _patched(codegen, "_runtime_key", runtime_key)
+
+
+#: (name, seeding context, the one check that must catch it).
+KEY_BUGS = (
+    ("const_blind_fingerprint", _const_blind_fingerprint, "differential"),
+    ("recorder_blind_key", _recorder_blind_key, "P804"),
+)
+
+
+def check_reuse(systems) -> int:
+    """Reuse on every system, then the seeded key bugs; returns the
+    failure count."""
+    failures = 0
+    print("\nelaboration reuse (warm, edited in place, observed):")
+    for name in systems:
+        findings = _reuse_findings(name)
+        if findings:
+            failures += 1
+            print(f"  FAIL {name}")
+            for _, detail in findings:
+                print(f"       {detail}")
+        else:
+            print(f"  ok   {name:<18} every run validated and agrees "
+                  "with interp")
+    print("\nseeded reuse-key bugs:")
+    for bug, seed, want in KEY_BUGS:
+        for name in systems:
+            with seed():
+                got = sorted({kind for kind, _ in _reuse_findings(name)})
+            exact = got == [want]
+            failures += not exact
+            print(f"  {'ok' if exact else 'FAIL':4s} {bug:24s} "
+                  f"{name:<18} want {want} got {','.join(got) or '-'}")
+    return failures
+
+
 def main(argv) -> int:
     systems = argv or list(SYSTEMS)
     failures = 0
     for name in systems:
         failures += check_system(name)
     failures += check_mutations()
+    failures += check_reuse(systems)
     if failures:
         print(f"\n{failures} check(s) FAILED")
         return 1
